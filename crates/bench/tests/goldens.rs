@@ -1,5 +1,6 @@
 //! Golden-fixture regression tests for the analysis layer: Table 2,
-//! Table 3 and Fig. 4 at a fixed `(seed, scale)` must serialize
+//! Table 3, Fig. 4 and the whole `FullReport` of the big four at a fixed
+//! `(seed, scale)` must serialize
 //! bit-for-bit identically to the JSON committed under
 //! `tests/goldens/`. Any analysis change that moves a number shows up
 //! as a readable JSON diff in review instead of a silent drift.
@@ -15,6 +16,7 @@ use std::sync::OnceLock;
 
 use analysis::prelude::*;
 use bench::{standard_scenario, AFIS};
+use bgp_model::asn::Asn;
 use bgp_model::prefix::Afi;
 use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
@@ -26,6 +28,9 @@ use looking_glass::snapshot::SnapshotStore;
 const GOLDEN_SEED: u64 = 0x601D_5EED;
 const GOLDEN_SCALE: f64 = 0.05;
 const GOLDEN_IXP: IxpId = IxpId::DeCixFra;
+/// The big-four world behind `full_report.json`, kept small so the debug
+/// test stays quick.
+const FULL_REPORT_SCALE: f64 = 0.02;
 
 fn world() -> &'static (SnapshotStore, Vec<Dictionary>) {
     static WORLD: OnceLock<(SnapshotStore, Vec<Dictionary>)> = OnceLock::new();
@@ -118,4 +123,46 @@ fn fig4_matches_golden() {
         .collect();
     assert!(!panels.is_empty(), "golden world produced no snapshots");
     assert_golden("fig4.json", &panels);
+}
+
+#[test]
+fn full_report_matches_golden() {
+    /// The Fig. 4b curve and Fig. 4c points of one unit, which the
+    /// report reduces to their headline numbers.
+    #[derive(serde::Serialize)]
+    struct Fig4Series {
+        ixp: IxpId,
+        afi: Afi,
+        curve: Vec<(f64, f64)>,
+        points: Vec<(Asn, f64, f64)>,
+    }
+    #[derive(serde::Serialize)]
+    struct FullReportGolden {
+        report: FullReport,
+        fig4_series: Vec<Fig4Series>,
+    }
+    let (store, dicts) = standard_scenario(GOLDEN_SEED, FULL_REPORT_SCALE, &IxpId::BIG_FOUR);
+    let dicts: Vec<(IxpId, Dictionary)> = IxpId::BIG_FOUR.into_iter().zip(dicts).collect();
+    let report = full_report(&store, &dicts);
+    assert_eq!(report.snapshots.len(), 8, "one unit per (IXP, family)");
+    let fig4_series = dicts
+        .iter()
+        .flat_map(|(ixp, dict)| AFIS.map(|afi| (*ixp, afi, dict)))
+        .filter_map(|(ixp, afi, dict)| {
+            let view = View::new(store.latest(ixp, afi)?, dict);
+            Some(Fig4Series {
+                ixp,
+                afi,
+                curve: fig4b(&view).curve(),
+                points: fig4c(&view).points,
+            })
+        })
+        .collect();
+    assert_golden(
+        "full_report.json",
+        &FullReportGolden {
+            report,
+            fig4_series,
+        },
+    );
 }
