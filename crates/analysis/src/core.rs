@@ -1,139 +1,35 @@
-//! Shared iteration and counting primitives used by every analysis.
+//! The unit every analysis reads: one snapshot folded once.
 
-use std::collections::BTreeSet;
-
-use bgp_model::asn::Asn;
-use bgp_model::community::{Community, StandardCommunity};
-use bgp_model::route::Route;
-use community_dict::action::Action;
-use community_dict::classify::{classify_extended, classify_large};
 use community_dict::dictionary::Dictionary;
-use community_dict::semantics::{Classification, Semantics};
 use looking_glass::snapshot::Snapshot;
 
-/// A snapshot paired with the dictionary of its IXP — the unit every
-/// analysis consumes (exactly the artifacts the paper's pipeline holds).
+use crate::incremental::fold_snapshot;
+use crate::summary::UnitFigures;
+
+/// One (IXP, family) snapshot folded against its IXP's dictionary — the
+/// unit every analysis consumes. The fold runs once, at construction;
+/// every figure function is a read of the folded [`UnitFigures`] and
+/// nothing is computed lazily, so a `View` is freely shared across `par`
+/// tasks.
 pub struct View<'a> {
     /// The snapshot.
     pub snap: &'a Snapshot,
-    /// The IXP's community dictionary.
-    pub dict: &'a Dictionary,
-    members: BTreeSet<Asn>,
-    /// Classification table: distinct community value → classification,
-    /// sorted for binary search. Distinct values repeat across millions
-    /// of instances (the corpus has ~3k of them), so each pays the
-    /// dictionary lookup exactly once — precomputed in [`View::new`]
-    /// over the snapshot's value set. Immutable after construction, so
-    /// a `View` is freely shared across `par` tasks (and staticheck's
-    /// SC109 passes waiver-free).
-    table: Vec<(u32, Classification)>,
+    figures: UnitFigures,
 }
 
 impl<'a> View<'a> {
-    /// Pair a snapshot with its dictionary, classifying each distinct
-    /// community value in the snapshot exactly once up front.
+    /// Pair a snapshot with its dictionary and fold it.
     pub fn new(snap: &'a Snapshot, dict: &'a Dictionary) -> Self {
         debug_assert_eq!(snap.ixp, dict.ixp());
-        let distinct: BTreeSet<u32> = snap
-            .routes
-            .iter()
-            .flat_map(|(_, r)| r.standard_communities.iter().map(|c| c.0))
-            .collect();
-        let table = distinct
-            .into_iter()
-            .map(|v| (v, dict.classify(StandardCommunity(v))))
-            .collect();
         View {
             snap,
-            dict,
-            members: snap.members.iter().copied().collect(),
-            table,
+            figures: fold_snapshot(snap, dict),
         }
     }
 
-    /// Classify a standard community against the dictionary via the
-    /// precomputed table; values outside the snapshot fall back to a
-    /// direct dictionary lookup.
-    pub fn classify(&self, c: StandardCommunity) -> Classification {
-        match self.table.binary_search_by_key(&c.0, |&(v, _)| v) {
-            Ok(i) => self.table[i].1,
-            Err(_) => self.dict.classify(c),
-        }
-    }
-
-    /// Classify any community type: standard values go through the
-    /// precomputed ID-indexed table, large and extended through the
-    /// rule-based schemes (already O(1) — no dictionary scan exists for
-    /// them to amortize). Figures 1–2 use this instead of re-deriving
-    /// every instance against the dictionary.
-    pub fn classify_full(&self, c: &Community) -> Classification {
-        match c {
-            Community::Standard(sc) => self.classify(*sc),
-            Community::Large(lc) => classify_large(self.dict.ixp(), *lc),
-            Community::Extended(ec) => classify_extended(self.dict.ixp(), *ec),
-        }
-    }
-
-    /// Is `asn` connected to the RS (the §5.5 membership test)?
-    pub fn is_member(&self, asn: Asn) -> bool {
-        self.members.contains(&asn)
-    }
-
-    /// Number of members with sessions.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Iterate `(announcer, route)` pairs.
-    pub fn routes(&self) -> impl Iterator<Item = (Asn, &'a Route)> + '_ {
-        self.snap.routes.iter().map(|(a, r)| (*a, r))
-    }
-
-    /// Iterate every *standard* community instance with its
-    /// classification: `(announcer, route, community, classification)`.
-    /// Figures 3–7 and Table 2 work on standard communities only (§4).
-    pub fn standard_instances(
-        &self,
-    ) -> impl Iterator<Item = (Asn, &'a Route, StandardCommunity, Classification)> + '_ {
-        self.routes().flat_map(move |(asn, route)| {
-            route
-                .standard_communities
-                .iter()
-                .map(move |c| (asn, route, *c, self.classify(*c)))
-        })
-    }
-
-    /// Iterate every IXP-defined *action* instance (standard only):
-    /// `(announcer, route, community, action)`.
-    pub fn action_instances(
-        &self,
-    ) -> impl Iterator<Item = (Asn, &'a Route, StandardCommunity, Action)> + '_ {
-        self.standard_instances()
-            .filter_map(|(asn, route, c, cl)| cl.action().map(|a| (asn, route, c, a)))
-    }
-
-    /// An action instance is *ineffective* when it targets a single AS
-    /// that has no session at this RS (§5.5).
-    pub fn is_ineffective(&self, action: &Action) -> bool {
-        match action.target.peer_asn() {
-            Some(asn) => !self.is_member(asn),
-            None => false,
-        }
-    }
-
-    /// Total standard IXP-defined instances split into
-    /// (informational, action).
-    pub fn standard_defined_split(&self) -> (u64, u64) {
-        let mut info = 0u64;
-        let mut action = 0u64;
-        for (_, _, _, cl) in self.standard_instances() {
-            match cl {
-                Classification::IxpDefined(Semantics::Informational(_)) => info += 1,
-                Classification::IxpDefined(Semantics::Action(_)) => action += 1,
-                Classification::Unknown => {}
-            }
-        }
-        (info, action)
+    /// Every figure of this unit.
+    pub fn figures(&self) -> &UnitFigures {
+        &self.figures
     }
 }
 
@@ -149,7 +45,10 @@ pub fn pct(part: u64, whole: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_model::asn::Asn;
+    use bgp_model::community::StandardCommunity;
     use bgp_model::prefix::Afi;
+    use bgp_model::route::Route;
     use community_dict::ixp::IxpId;
     use community_dict::schemes;
 
@@ -188,30 +87,38 @@ mod tests {
     }
 
     #[test]
-    fn instance_iteration_and_classification() {
+    fn instance_counts_and_classification() {
         let snap = snapshot();
         let dict = schemes::dictionary(IxpId::Linx);
-        let view = View::new(&snap, &dict);
-        assert_eq!(view.standard_instances().count(), 4);
-        let actions: Vec<_> = view.action_instances().collect();
-        assert_eq!(actions.len(), 2);
-        let ineffective = actions
-            .iter()
-            .filter(|(_, _, _, a)| view.is_ineffective(a))
-            .count();
-        assert_eq!(ineffective, 1); // OVH is not a member
-        let (info, action) = view.standard_defined_split();
-        assert_eq!((info, action), (1, 2));
+        let report = View::new(&snap, &dict).figures().report.clone();
+        // four standard instances: two actions, one informational, one
+        // unknown
+        assert_eq!(report.fig1.total, 4);
+        assert_eq!((report.fig3.informational, report.fig3.action), (1, 2));
+        assert_eq!(report.ineffective.total_actions, 2);
+        assert_eq!(report.ineffective.ineffective, 1); // OVH is not a member
     }
 
     #[test]
     fn membership() {
         let snap = snapshot();
         let dict = schemes::dictionary(IxpId::Linx);
-        let view = View::new(&snap, &dict);
-        assert!(view.is_member(Asn(6939)));
-        assert!(!view.is_member(Asn(16276)));
-        assert_eq!(view.member_count(), 2);
+        let figures = View::new(&snap, &dict).figures().clone();
+        assert_eq!(figures.report.fig4a.members_at_rs, 2);
+        // HE (6939) is a member, OVH (16276) is not: only OVH's avoid
+        // community is in Fig. 6, and its tagger is Fig. 7's only culprit
+        let targets: Vec<_> = figures
+            .report
+            .fig6
+            .top
+            .iter()
+            .filter_map(|r| r.action.target.peer_asn())
+            .collect();
+        assert_eq!(targets, vec![Asn(16276)]);
+        assert_eq!(
+            figures.fig7_per_as.into_iter().collect::<Vec<_>>(),
+            vec![(Asn(39120), 1)]
+        );
     }
 
     #[test]

@@ -43,28 +43,9 @@ impl Fig4a {
     }
 }
 
-/// Compute Fig. 4a.
+/// Fig. 4a for one view.
 pub fn fig4a(view: &View<'_>) -> Fig4a {
-    let mut users = std::collections::BTreeSet::new();
-    let mut tagged_routes = 0usize;
-    for (asn, route) in view.routes() {
-        let has_action = route
-            .standard_communities
-            .iter()
-            .any(|c| view.classify(*c).action().is_some());
-        if has_action {
-            users.insert(asn);
-            tagged_routes += 1;
-        }
-    }
-    Fig4a {
-        ixp: view.snap.ixp,
-        afi: view.snap.afi,
-        members_at_rs: view.member_count(),
-        ases_using_actions: users.len(),
-        routes_total: view.snap.route_count(),
-        routes_with_actions: tagged_routes,
-    }
+    view.figures().report.fig4a.clone()
 }
 
 /// Fig. 4b result: the distribution of action instances over ASes.
@@ -83,18 +64,16 @@ pub struct Fig4b {
 }
 
 impl Fig4b {
-    /// Derive the figure from accumulated per-AS action-instance counts —
-    /// the single ranking path shared by the batch scan and the
-    /// incremental engine (identical sort and tie-break, so identical
-    /// bytes).
+    /// Derive the figure from accumulated per-AS action-instance counts:
+    /// descending by count, ties broken by ASN.
     pub fn from_per_as(
         ixp: IxpId,
         afi: Afi,
-        per_as: BTreeMap<Asn, u64>,
+        per_as: &BTreeMap<Asn, u64>,
         members_at_rs: usize,
     ) -> Self {
         let total: u64 = per_as.values().sum();
-        let mut per_as_desc: Vec<(Asn, u64)> = per_as.into_iter().collect();
+        let mut per_as_desc: Vec<(Asn, u64)> = per_as.iter().map(|(a, n)| (*a, *n)).collect();
         per_as_desc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         Fig4b {
             ixp,
@@ -130,13 +109,9 @@ impl Fig4b {
     }
 }
 
-/// Compute Fig. 4b.
+/// Fig. 4b for one view, with the full per-AS distribution.
 pub fn fig4b(view: &View<'_>) -> Fig4b {
-    let mut per_as: BTreeMap<Asn, u64> = BTreeMap::new();
-    for (asn, _, _, _) in view.action_instances() {
-        *per_as.entry(asn).or_insert(0) += 1;
-    }
-    Fig4b::from_per_as(view.snap.ixp, view.snap.afi, per_as, view.member_count())
+    view.figures().fig4b.clone()
 }
 
 /// Fig. 4c result: one point per AS.
@@ -205,9 +180,8 @@ impl Fig4c {
 
 impl Fig4c {
     /// Derive the figure from accumulated per-AS route and
-    /// action-instance counts (shared by the batch scan and the
-    /// incremental engine; the float divisions happen here and only
-    /// here, so both paths produce bit-identical points).
+    /// action-instance counts (the float divisions happen here and only
+    /// here).
     pub fn from_counts(
         ixp: IxpId,
         afi: Afi,
@@ -231,17 +205,9 @@ impl Fig4c {
     }
 }
 
-/// Compute Fig. 4c.
+/// Fig. 4c for one view, with every per-AS point.
 pub fn fig4c(view: &View<'_>) -> Fig4c {
-    let mut comm: BTreeMap<Asn, u64> = BTreeMap::new();
-    let mut routes: BTreeMap<Asn, u64> = BTreeMap::new();
-    for (asn, _) in view.routes() {
-        *routes.entry(asn).or_insert(0) += 1;
-    }
-    for (asn, _, _, _) in view.action_instances() {
-        *comm.entry(asn).or_insert(0) += 1;
-    }
-    Fig4c::from_counts(view.snap.ixp, view.snap.afi, &routes, &comm)
+    view.figures().fig4c.clone()
 }
 
 #[cfg(test)]

@@ -23,17 +23,21 @@
 //! one; withdraws and synthesized peer-down withdraws retract; session
 //! flag changes re-scope a peer's stored routes per family.
 //!
-//! # Bit-identical finalization
+//! # One counting path
 //!
-//! [`IncrementalReport::report`] produces a [`FullReport`] that is
-//! byte-identical to [`full_report`](crate::summary::full_report) over a
-//! snapshot of the same state, *by construction*: finalization rebuilds
-//! the exact count maps the batch scan accumulates (zero-count entries
-//! absent, `BTreeMap` order) and hands them to the same shared
+//! The same counters serve both ways a unit is built. Delta-maintained,
+//! they follow the stream; [`fold_snapshot`] loads a whole snapshot into
+//! fresh ones, and that fold is what [`View`](crate::core::View) and
+//! [`full_report`](crate::summary::full_report) read. Either way,
+//! finalization rebuilds the count maps and hands them to the shared
 //! `from_counts` derivations, so every float division, sort and
-//! tie-break runs in one place for both paths. The golden equivalence
-//! suite (`tests/incremental_equivalence.rs`) and the chaos
-//! `IncrementalDivergence` oracle hold the two paths equal under faults.
+//! tie-break runs in one place. The golden equivalence suite
+//! (`tests/incremental_equivalence.rs`) and the chaos
+//! `IncrementalDivergence` oracle compare the delta-maintained engine
+//! against a fresh fold of the end-of-day snapshot, which checks the
+//! retract, merge and session-rescope algebra; the committed
+//! `full_report.json` golden and the per-figure unit tests pin the
+//! counting rules themselves.
 //!
 //! # Interning
 //!
@@ -56,13 +60,13 @@ use community_dict::classify::{classify_extended, classify_large};
 use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
 use community_dict::semantics::{Classification, Semantics};
+use looking_glass::snapshot::Snapshot;
 use stream::prelude::{DeltaConsumer, RouteDelta};
 
 use crate::actions::{Table2, TypeCounts};
 use crate::fig4::{Fig4a, Fig4b, Fig4c};
 use crate::figs_overview::{Fig1, Fig2, Fig3};
-use crate::overlap::target_overlap_from_tops;
-use crate::summary::{FullReport, SnapshotReport};
+use crate::summary::{FullReport, SnapshotReport, UnitFigures};
 use crate::tops::{Fig7, Ineffective, TopCommunities};
 
 /// Direction of a route update: the two halves of the monoid.
@@ -95,8 +99,9 @@ fn group_idx(group: ActionGroup) -> usize {
         .unwrap_or(0)
 }
 
-/// §5.5's membership test, evaluated at finalize time against the live
-/// member set (identical to [`View::is_ineffective`](crate::core::View::is_ineffective)).
+/// §5.5's ineffective-target rule: an action is ineffective when it
+/// targets a single AS with no session at the RS. Evaluated at finalize
+/// time against the unit's member set.
 fn is_ineffective(action: &Action, members: &BTreeSet<Asn>) -> bool {
     match action.target.peer_asn() {
         Some(asn) => !members.contains(&asn),
@@ -531,144 +536,181 @@ impl IxpEngine {
         self.v6.merge_from(&other.v6, &asn_map, &comm_map);
     }
 
-    /// Finalize one family's [`SnapshotReport`]: rebuild the exact count
-    /// maps the batch scan accumulates (zero entries absent, `BTreeMap`
-    /// order) and derive every figure through the shared `from_counts`
-    /// constructors — identical bytes by construction.
-    pub fn unit_report(&self, afi: Afi, day: u32) -> SnapshotReport {
-        let unit = self.unit(afi);
-        let members_at_rs = unit.members.len();
+    /// Finalize one family's figures from the live counters.
+    pub fn unit_report(&self, afi: Afi, day: u32) -> UnitFigures {
+        finalize(self.ixp, &self.comms, &self.asns, self.unit(afi), afi, day)
+    }
+}
 
-        // Per-AS maps, keyed back from dense ids; entries exist only
-        // where the batch scan would have created them (count > 0).
-        let mut per_as_routes: BTreeMap<Asn, u64> = BTreeMap::new();
-        let mut per_as_insts: BTreeMap<Asn, u64> = BTreeMap::new();
-        let mut ases_using_actions = 0usize;
-        let mut routes_with_actions = 0u64;
-        for (i, p) in unit.per_as.iter().enumerate() {
-            let asn = self.asns.value(i as u32);
-            if p.routes > 0 {
-                per_as_routes.insert(asn, p.routes);
-            }
-            if p.instances > 0 {
-                per_as_insts.insert(asn, p.instances);
-            }
-            if p.tagged > 0 {
-                ases_using_actions += 1;
-                routes_with_actions = routes_with_actions.saturating_add(p.tagged);
-            }
+/// Fold one snapshot from scratch: every `snap.routes` entry goes by
+/// reference through `update_route`, the delta path's apply step, into
+/// the snapshot's family, and the members are `snap.members`. Every route
+/// counts, whether or not its announcer holds a session for the family
+/// (the snapshot's definition, not the stream's `PeerUp` visibility rule).
+pub fn fold_snapshot(snap: &Snapshot, dict: &Dictionary) -> UnitFigures {
+    let mut comms = CommTable::default();
+    let mut asns = AsnTable::default();
+    let mut unit = UnitAgg {
+        members: snap.members.iter().copied().collect(),
+        ..UnitAgg::default()
+    };
+    for (peer, route) in &snap.routes {
+        update_route(
+            &mut comms,
+            &mut asns,
+            &mut unit,
+            dict,
+            *peer,
+            route,
+            Dir::Apply,
+        );
+    }
+    finalize(snap.ixp, &comms, &asns, &unit, snap.afi, snap.day)
+}
+
+/// Finalize one unit: rebuild the count maps (zero entries absent,
+/// `BTreeMap` order) and derive every figure through the shared
+/// `from_counts` constructors, so every float division, sort and
+/// tie-break runs in one place.
+fn finalize(
+    ixp: IxpId,
+    comms: &CommTable,
+    asns: &AsnTable,
+    unit: &UnitAgg,
+    afi: Afi,
+    day: u32,
+) -> UnitFigures {
+    let members_at_rs = unit.members.len();
+
+    // Per-AS maps, keyed back from dense ids; entries exist only where
+    // the AS has a nonzero count.
+    let mut per_as_routes: BTreeMap<Asn, u64> = BTreeMap::new();
+    let mut per_as_insts: BTreeMap<Asn, u64> = BTreeMap::new();
+    let mut ases_using_actions = 0usize;
+    let mut routes_with_actions = 0u64;
+    for (i, p) in unit.per_as.iter().enumerate() {
+        let asn = asns.value(i as u32);
+        if p.routes > 0 {
+            per_as_routes.insert(asn, p.routes);
         }
-
-        // §5.3: AS counts per group (distinct ASes with ≥1 instance) and
-        // instance counts per group.
-        let mut ases_per_group: BTreeMap<ActionGroup, usize> = BTreeMap::new();
-        let mut insts_per_group: BTreeMap<ActionGroup, u64> = BTreeMap::new();
-        for (gi, group) in ActionGroup::ALL.iter().enumerate() {
-            let ases = unit
-                .per_as
-                .iter()
-                .filter(|p| p.groups.get(gi).copied().unwrap_or(0) > 0)
-                .count();
-            if ases > 0 {
-                ases_per_group.insert(*group, ases);
-            }
-            let insts = unit.insts_per_group.get(gi).copied().unwrap_or(0);
-            if insts > 0 {
-                insts_per_group.insert(*group, insts);
-            }
+        if p.instances > 0 {
+            per_as_insts.insert(asn, p.instances);
         }
-
-        // Figs. 5–6 / §5.5: per-community counts, the Fig. 6 subset
-        // filtered by the finalize-time membership test.
-        let mut fig5_counts: BTreeMap<StandardCommunity, (Action, u64)> = BTreeMap::new();
-        let mut fig6_counts: BTreeMap<StandardCommunity, (Action, u64)> = BTreeMap::new();
-        let mut ineffective_count = 0u64;
-        for (i, &n) in unit.per_comm.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let CommMeta::Action(action) = self.comms.meta(i as u32) else {
-                continue;
-            };
-            let community = StandardCommunity(self.comms.value(i as u32));
-            fig5_counts.insert(community, (action, n));
-            if is_ineffective(&action, &unit.members) {
-                fig6_counts.insert(community, (action, n));
-                ineffective_count = ineffective_count.saturating_add(n);
-            }
+        if p.tagged > 0 {
+            ases_using_actions += 1;
+            routes_with_actions = routes_with_actions.saturating_add(p.tagged);
         }
+    }
 
-        // Fig. 7: ineffective instances per tagging AS.
-        let mut fig7_per_as: BTreeMap<Asn, u64> = BTreeMap::new();
-        for (&(aid, cid), &n) in &unit.per_as_comm {
-            if n == 0 {
-                continue;
-            }
-            let CommMeta::Action(action) = self.comms.meta(cid) else {
-                continue;
-            };
-            if !is_ineffective(&action, &unit.members) {
-                continue;
-            }
-            let slot = fig7_per_as.entry(self.asns.value(aid)).or_insert(0);
-            *slot = slot.saturating_add(n);
-        }
-
-        let std_defined = unit.std_info.saturating_add(unit.std_action);
-        let fig4b = Fig4b::from_per_as(self.ixp, afi, per_as_insts.clone(), members_at_rs);
-        let fig4c = Fig4c::from_counts(self.ixp, afi, &per_as_routes, &per_as_insts);
-        let fig5 = TopCommunities::from_counts(self.ixp, afi, fig5_counts, unit.std_action, 20);
-        let top20_nonmember_count = fig5
-            .top
+    // §5.3: AS counts per group (distinct ASes with ≥1 instance) and
+    // instance counts per group.
+    let mut ases_per_group: BTreeMap<ActionGroup, usize> = BTreeMap::new();
+    let mut insts_per_group: BTreeMap<ActionGroup, u64> = BTreeMap::new();
+    for (gi, group) in ActionGroup::ALL.iter().enumerate() {
+        let ases = unit
+            .per_as
             .iter()
-            .filter(|r| is_ineffective(&r.action, &unit.members))
+            .filter(|p| p.groups.get(gi).copied().unwrap_or(0) > 0)
             .count();
-
-        SnapshotReport {
-            ixp: self.ixp,
-            afi,
-            day,
-            fig1: Fig1::from_counts(
-                self.ixp,
-                afi,
-                std_defined
-                    .saturating_add(unit.ext_defined)
-                    .saturating_add(unit.large_defined),
-                unit.unknown,
-            ),
-            fig2: Fig2::from_counts(
-                self.ixp,
-                afi,
-                std_defined,
-                unit.ext_defined,
-                unit.large_defined,
-            ),
-            fig3: Fig3::from_counts(self.ixp, afi, unit.std_action, unit.std_info),
-            fig4a: Fig4a {
-                ixp: self.ixp,
-                afi,
-                members_at_rs,
-                ases_using_actions,
-                routes_total: unit.routes_total as usize,
-                routes_with_actions: routes_with_actions as usize,
-            },
-            fig4b_top1pct: fig4b.share_of_top(0.01),
-            fig4b_top10pct: fig4b.share_of_top(0.10),
-            fig4c_log_correlation: fig4c.log_correlation(),
-            fig4c_asymmetry: fig4c.asymmetry(),
-            table2: Table2::from_counts(self.ixp, afi, members_at_rs, ases_per_group),
-            type_counts: TypeCounts::from_counts(self.ixp, afi, insts_per_group),
-            fig6: TopCommunities::from_counts(self.ixp, afi, fig6_counts, unit.std_action, 20),
-            ineffective: Ineffective {
-                ixp: self.ixp,
-                afi,
-                total_actions: unit.std_action,
-                ineffective: ineffective_count,
-                top20_nonmember_count,
-            },
-            fig7: Fig7::from_per_as(self.ixp, afi, fig7_per_as, 10),
-            fig5,
+        if ases > 0 {
+            ases_per_group.insert(*group, ases);
         }
+        let insts = unit.insts_per_group.get(gi).copied().unwrap_or(0);
+        if insts > 0 {
+            insts_per_group.insert(*group, insts);
+        }
+    }
+
+    // Figs. 5–6 / §5.5: per-community counts, the Fig. 6 subset filtered
+    // by the finalize-time membership test.
+    let mut fig5_counts: BTreeMap<StandardCommunity, (Action, u64)> = BTreeMap::new();
+    let mut fig6_counts: BTreeMap<StandardCommunity, (Action, u64)> = BTreeMap::new();
+    let mut ineffective_count = 0u64;
+    for (i, &n) in unit.per_comm.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
+        let CommMeta::Action(action) = comms.meta(i as u32) else {
+            continue;
+        };
+        let community = StandardCommunity(comms.value(i as u32));
+        fig5_counts.insert(community, (action, n));
+        if is_ineffective(&action, &unit.members) {
+            fig6_counts.insert(community, (action, n));
+            ineffective_count = ineffective_count.saturating_add(n);
+        }
+    }
+
+    // Fig. 7: ineffective instances per tagging AS.
+    let mut fig7_per_as: BTreeMap<Asn, u64> = BTreeMap::new();
+    for (&(aid, cid), &n) in &unit.per_as_comm {
+        if n == 0 {
+            continue;
+        }
+        let CommMeta::Action(action) = comms.meta(cid) else {
+            continue;
+        };
+        if !is_ineffective(&action, &unit.members) {
+            continue;
+        }
+        let slot = fig7_per_as.entry(asns.value(aid)).or_insert(0);
+        *slot = slot.saturating_add(n);
+    }
+
+    let std_defined = unit.std_info.saturating_add(unit.std_action);
+    let fig4b = Fig4b::from_per_as(ixp, afi, &per_as_insts, members_at_rs);
+    let fig4c = Fig4c::from_counts(ixp, afi, &per_as_routes, &per_as_insts);
+    let fig5 = TopCommunities::from_counts(ixp, afi, fig5_counts, unit.std_action, 20);
+    let top20_nonmember_count = fig5
+        .top
+        .iter()
+        .filter(|r| is_ineffective(&r.action, &unit.members))
+        .count();
+
+    let report = SnapshotReport {
+        ixp,
+        afi,
+        day,
+        fig1: Fig1::from_counts(
+            ixp,
+            afi,
+            std_defined
+                .saturating_add(unit.ext_defined)
+                .saturating_add(unit.large_defined),
+            unit.unknown,
+        ),
+        fig2: Fig2::from_counts(ixp, afi, std_defined, unit.ext_defined, unit.large_defined),
+        fig3: Fig3::from_counts(ixp, afi, unit.std_action, unit.std_info),
+        fig4a: Fig4a {
+            ixp,
+            afi,
+            members_at_rs,
+            ases_using_actions,
+            routes_total: unit.routes_total as usize,
+            routes_with_actions: routes_with_actions as usize,
+        },
+        fig4b_top1pct: fig4b.share_of_top(0.01),
+        fig4b_top10pct: fig4b.share_of_top(0.10),
+        fig4c_log_correlation: fig4c.log_correlation(),
+        fig4c_asymmetry: fig4c.asymmetry(),
+        table2: Table2::from_counts(ixp, afi, members_at_rs, ases_per_group),
+        type_counts: TypeCounts::from_counts(ixp, afi, insts_per_group),
+        fig6: TopCommunities::from_counts(ixp, afi, fig6_counts, unit.std_action, 20),
+        ineffective: Ineffective {
+            ixp,
+            afi,
+            total_actions: unit.std_action,
+            ineffective: ineffective_count,
+            top20_nonmember_count,
+        },
+        fig7: Fig7::from_per_as(ixp, afi, &fig7_per_as, 10),
+        fig5,
+    };
+    UnitFigures {
+        report,
+        fig4b,
+        fig4c,
+        fig7_per_as,
     }
 }
 
@@ -737,23 +779,14 @@ impl IncrementalReport {
     pub fn report_units(&self, units: &[(IxpId, Afi)], day: u32) -> FullReport {
         let _span = obs::span!(obs::names::ANALYSIS_INCREMENTAL_REPORT);
         let computed = par::map_indexed(units, |_, &(ixp, afi)| {
-            self.engines.get(&ixp).map(|e| e.unit_report(afi, day))
+            self.engines
+                .get(&ixp)
+                .map(|e| e.unit_report(afi, day).report)
         });
-        let mut report = FullReport::default();
-        report.snapshots.extend(computed.into_iter().flatten());
-        let v4_tops: Vec<&TopCommunities> = report
-            .snapshots
-            .iter()
-            .filter(|s| s.afi == Afi::Ipv4)
-            .map(|s| &s.fig5)
-            .collect();
-        if v4_tops.len() >= 2 {
-            report.overlap_v4 = Some(target_overlap_from_tops(&v4_tops));
-        }
-        report
+        FullReport::from_units(computed.into_iter().flatten().collect())
     }
 
-    /// Finalize every (IXP, family) unit — the batch
+    /// Finalize every (IXP, family) unit — in
     /// [`full_report`](crate::summary::full_report)'s unit order (IXP
     /// construction order × family) when engines were constructed from
     /// the same dictionary slice.
@@ -804,7 +837,8 @@ mod tests {
     }
 
     /// Drive events through a real `RouterState` with the report attached
-    /// and return both the streamed batch report and the incremental one.
+    /// and return both a fresh fold of the streamed snapshots and the
+    /// delta-maintained report.
     fn dual_run(events: &[RibEvent]) -> (FullReport, FullReport) {
         let mut state = RouterState::new(IXP);
         let mut inc = IncrementalReport::new(&dicts());

@@ -3,7 +3,16 @@
 //! Every table and figure of the CoNEXT'22 paper, computed from the
 //! artifacts the paper's pipeline holds: snapshots (member list +
 //! accepted routes with communities) plus the per-IXP community
-//! dictionary. One module per analysis:
+//! dictionary.
+//!
+//! There is one aggregation path. The counters of [`incremental`] are
+//! the only place the counting rules live: [`View::new`] folds a
+//! snapshot into fresh counters once ([`incremental::fold_snapshot`]),
+//! the figure functions below read the folded [`summary::UnitFigures`],
+//! and [`full_report`] is a parallel fold of every unit. The same
+//! counters, maintained per stream delta, give the O(churn)
+//! [`IncrementalReport`]; the figure modules own the result types and
+//! their shared `from_counts` derivations.
 //!
 //! | Paper element | Module / function |
 //! |---|---|
@@ -22,6 +31,8 @@
 //! | Fig. 7 (culprit ASes) | [`tops::fig7`] |
 //! | Tables 3 & 4 (stability) | [`tables::StabilityRow`] |
 //! | §5.4 cross-IXP target overlap | [`overlap::target_overlap`] |
+//! | Everything, per (IXP, family) | [`summary::full_report`] |
+//! | Everything, per stream delta | [`incremental::IncrementalReport`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@ use community_dict::ixp::IxpId;
 use community_dict::known;
 
 use crate::core::View;
-use crate::tops::{fig5, TopCommunities};
+use crate::tops::TopCommunities;
 
 /// The avoided-AS sets behind each IXP's top-20 communities.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,9 +63,7 @@ impl TargetOverlap {
 }
 
 /// Compute the overlap from already-ranked Fig. 5 results (one per IXP,
-/// same family) — the zero-recompute path [`crate::summary::full_report`]
-/// and the incremental engine use, since both have the per-IXP top-20 in
-/// hand by the time the overlap is needed.
+/// same family).
 pub fn target_overlap_from_tops(tops: &[&TopCommunities]) -> TargetOverlap {
     let afi = tops.first().map(|t| t.afi).unwrap_or(Afi::Ipv4);
     let per_ixp = tops
@@ -85,8 +83,8 @@ pub fn target_overlap_from_tops(tops: &[&TopCommunities]) -> TargetOverlap {
 
 /// Compute the overlap across a set of views (one per IXP, same family).
 pub fn target_overlap(views: &[View<'_>]) -> TargetOverlap {
-    let tops: Vec<TopCommunities> = views.iter().map(fig5).collect();
-    target_overlap_from_tops(&tops.iter().collect::<Vec<_>>())
+    let tops: Vec<&TopCommunities> = views.iter().map(|v| &v.figures().report.fig5).collect();
+    target_overlap_from_tops(&tops)
 }
 
 #[cfg(test)]

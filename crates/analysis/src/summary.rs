@@ -3,19 +3,22 @@
 //! machine-readable counterpart of the `repro` binary's tables, meant for
 //! downstream tooling (plotting, regression tracking).
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
+use bgp_model::asn::Asn;
 use bgp_model::prefix::Afi;
 use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
 use looking_glass::snapshot::SnapshotStore;
 
-use crate::actions::{table2, type_counts, Table2, TypeCounts};
+use crate::actions::{Table2, TypeCounts};
 use crate::core::View;
-use crate::fig4::{fig4a, fig4b, fig4c, Fig4a};
-use crate::figs_overview::{fig1, fig2, fig3, Fig1, Fig2, Fig3};
+use crate::fig4::{Fig4a, Fig4b, Fig4c};
+use crate::figs_overview::{Fig1, Fig2, Fig3};
 use crate::overlap::{target_overlap_from_tops, TargetOverlap};
-use crate::tops::{fig5, fig6, fig7, ineffective, Fig7, Ineffective, TopCommunities};
+use crate::tops::{Fig7, Ineffective, TopCommunities};
 
 /// Everything computed for one (IXP, family) snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,6 +59,20 @@ pub struct SnapshotReport {
     pub fig7: Fig7,
 }
 
+/// Every figure of one (IXP, family) unit: the [`SnapshotReport`] plus
+/// the full series it reduces to headline numbers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnitFigures {
+    /// The unit's report.
+    pub report: SnapshotReport,
+    /// Fig. 4b with the full per-AS distribution.
+    pub fig4b: Fig4b,
+    /// Fig. 4c with every per-AS point.
+    pub fig4c: Fig4c,
+    /// Ineffective instances per tagging AS: Fig. 7 before its top-k cut.
+    pub fig7_per_as: BTreeMap<Asn, u64>,
+}
+
 /// The full evaluation report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FullReport {
@@ -65,63 +82,50 @@ pub struct FullReport {
     pub overlap_v4: Option<TargetOverlap>,
 }
 
+/// Fold the latest snapshot of every (IXP, family) in the store, one
+/// [`View`] per unit in (dict order × family) order. The units fan out
+/// over [`par`]; the ordered join keeps the order at any thread count.
+pub fn views<'a>(store: &'a SnapshotStore, dicts: &'a [(IxpId, Dictionary)]) -> Vec<View<'a>> {
+    let _span = obs::span!(obs::names::ANALYSIS_FULL_REPORT);
+    let units: Vec<(usize, Afi)> = (0..dicts.len())
+        .flat_map(|i| [(i, Afi::Ipv4), (i, Afi::Ipv6)])
+        .collect();
+    let views = par::map_indexed(&units, |_, &(i, afi)| {
+        let _span = obs::span!(obs::names::ANALYSIS_REPORT_UNIT);
+        let (ixp, dict) = &dicts[i];
+        Some(View::new(store.latest(*ixp, afi)?, dict))
+    });
+    views.into_iter().flatten().collect()
+}
+
 /// Compute the full report for the latest snapshot of every (IXP, family)
 /// in the store. `dicts` must contain the dictionary for every IXP
 /// present.
 pub fn full_report(store: &SnapshotStore, dicts: &[(IxpId, Dictionary)]) -> FullReport {
-    let _span = obs::span!(obs::names::ANALYSIS_FULL_REPORT);
-    let mut report = FullReport::default();
-    // Fan out per (IXP, family) snapshot: each task builds its own View
-    // (with its own classification memo) and computes every figure and
-    // table for it. The ordered join keeps `report.snapshots` in the
-    // same (dict order × family) order as the serial loop.
-    let units: Vec<(usize, Afi)> = (0..dicts.len())
-        .flat_map(|i| [(i, Afi::Ipv4), (i, Afi::Ipv6)])
-        .collect();
-    let computed = par::map_indexed(&units, |_, &(i, afi)| {
-        let _span = obs::span!(obs::names::ANALYSIS_REPORT_UNIT);
-        let (ixp, dict) = &dicts[i];
-        let snap = store.latest(*ixp, afi)?;
-        let view = View::new(snap, dict);
-        let b = fig4b(&view);
-        let c = fig4c(&view);
-        Some(SnapshotReport {
-            ixp: *ixp,
-            afi,
-            day: snap.day,
-            fig1: fig1(&view),
-            fig2: fig2(&view),
-            fig3: fig3(&view),
-            fig4a: fig4a(&view),
-            fig4b_top1pct: b.share_of_top(0.01),
-            fig4b_top10pct: b.share_of_top(0.10),
-            fig4c_log_correlation: c.log_correlation(),
-            fig4c_asymmetry: c.asymmetry(),
-            table2: table2(&view),
-            type_counts: type_counts(&view),
-            fig5: fig5(&view),
-            fig6: fig6(&view),
-            ineffective: ineffective(&view),
-            fig7: fig7(&view, 10),
-        })
-    });
-    report.snapshots.extend(computed.into_iter().flatten());
-    // §5.4 overlap: reuse the Fig. 5 rankings already computed per unit
-    // instead of rebuilding every IPv4 view (and its classification
-    // memo) a second time.
-    let v4_tops: Vec<&crate::tops::TopCommunities> = report
-        .snapshots
-        .iter()
-        .filter(|s| s.afi == Afi::Ipv4)
-        .map(|s| &s.fig5)
-        .collect();
-    if v4_tops.len() >= 2 {
-        report.overlap_v4 = Some(target_overlap_from_tops(&v4_tops));
-    }
-    report
+    FullReport::from_views(&views(store, dicts))
 }
 
 impl FullReport {
+    /// Assemble the report from per-unit reports, adding the §5.4
+    /// overlap of the IPv4 units' Fig. 5 rankings.
+    pub fn from_units(snapshots: Vec<SnapshotReport>) -> Self {
+        let v4_tops: Vec<&TopCommunities> = snapshots
+            .iter()
+            .filter(|s| s.afi == Afi::Ipv4)
+            .map(|s| &s.fig5)
+            .collect();
+        let overlap_v4 = (v4_tops.len() >= 2).then(|| target_overlap_from_tops(&v4_tops));
+        FullReport {
+            snapshots,
+            overlap_v4,
+        }
+    }
+
+    /// Assemble the report from already-folded views.
+    pub fn from_views(views: &[View<'_>]) -> Self {
+        Self::from_units(views.iter().map(|v| v.figures().report.clone()).collect())
+    }
+
     /// The report for one (IXP, family).
     pub fn get(&self, ixp: IxpId, afi: Afi) -> Option<&SnapshotReport> {
         self.snapshots.iter().find(|r| r.ixp == ixp && r.afi == afi)

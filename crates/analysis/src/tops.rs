@@ -49,11 +49,10 @@ pub struct TopCommunities {
 }
 
 impl TopCommunities {
-    /// Rank accumulated per-community counts — the single ranking and
-    /// labelling path shared by the batch scan and the incremental
-    /// engine. `counts` holds only the in-scope communities (already
-    /// filtered for Fig. 6); `total_all` is the count of *all* action
-    /// instances, the paper's share denominator for both figures.
+    /// Rank and label accumulated per-community counts. `counts` holds
+    /// only the in-scope communities (already filtered for Fig. 6);
+    /// `total_all` is the count of *all* action instances, the paper's
+    /// share denominator for both figures.
     pub fn from_counts(
         ixp: IxpId,
         afi: Afi,
@@ -103,27 +102,14 @@ impl TopCommunities {
     }
 }
 
-fn rank_communities(view: &View<'_>, limit: usize, only_nonmember_targets: bool) -> TopCommunities {
-    let mut counts: BTreeMap<StandardCommunity, (Action, u64)> = BTreeMap::new();
-    let mut total_all = 0u64;
-    for (_, _, community, action) in view.action_instances() {
-        total_all += 1;
-        if only_nonmember_targets && !view.is_ineffective(&action) {
-            continue;
-        }
-        counts.entry(community).or_insert((action, 0)).1 += 1;
-    }
-    TopCommunities::from_counts(view.snap.ixp, view.snap.afi, counts, total_all, limit)
-}
-
 /// Fig. 5: the top-20 action communities.
 pub fn fig5(view: &View<'_>) -> TopCommunities {
-    rank_communities(view, 20, false)
+    view.figures().report.fig5.clone()
 }
 
 /// Fig. 6: the top-20 action communities targeting non-RS members.
 pub fn fig6(view: &View<'_>) -> TopCommunities {
-    rank_communities(view, 20, true)
+    view.figures().report.fig6.clone()
 }
 
 /// §5.5 headline: the ineffective share.
@@ -150,29 +136,9 @@ impl Ineffective {
     }
 }
 
-/// Compute the §5.5 shares.
+/// The §5.5 shares for one view.
 pub fn ineffective(view: &View<'_>) -> Ineffective {
-    let mut total = 0u64;
-    let mut bad = 0u64;
-    for (_, _, _, action) in view.action_instances() {
-        total += 1;
-        if view.is_ineffective(&action) {
-            bad += 1;
-        }
-    }
-    let top20 = fig5(view);
-    let top20_nonmember = top20
-        .top
-        .iter()
-        .filter(|r| view.is_ineffective(&r.action))
-        .count();
-    Ineffective {
-        ixp: view.snap.ixp,
-        afi: view.snap.afi,
-        total_actions: total,
-        ineffective: bad,
-        top20_nonmember_count: top20_nonmember,
-    }
+    view.figures().report.ineffective.clone()
 }
 
 /// One Fig. 7 culprit.
@@ -202,12 +168,11 @@ pub struct Fig7 {
 }
 
 impl Fig7 {
-    /// Rank accumulated per-AS ineffective-instance counts (shared by
-    /// the batch scan and the incremental engine — one sort, one
-    /// labelling, one `pct`, identical bytes).
-    pub fn from_per_as(ixp: IxpId, afi: Afi, per_as: BTreeMap<Asn, u64>, limit: usize) -> Self {
+    /// Rank accumulated per-AS ineffective-instance counts: descending
+    /// by count, ties broken by ASN, cut to `limit`.
+    pub fn from_per_as(ixp: IxpId, afi: Afi, per_as: &BTreeMap<Asn, u64>, limit: usize) -> Self {
         let total: u64 = per_as.values().sum();
-        let mut ranked: Vec<(Asn, u64)> = per_as.into_iter().collect();
+        let mut ranked: Vec<(Asn, u64)> = per_as.iter().map(|(a, n)| (*a, *n)).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(limit);
         Fig7 {
@@ -227,15 +192,10 @@ impl Fig7 {
     }
 }
 
-/// Compute Fig. 7 (top `limit` culprits).
+/// Fig. 7 for one view: the top `limit` culprits.
 pub fn fig7(view: &View<'_>, limit: usize) -> Fig7 {
-    let mut per_as: BTreeMap<Asn, u64> = BTreeMap::new();
-    for (asn, _, _, action) in view.action_instances() {
-        if view.is_ineffective(&action) {
-            *per_as.entry(asn).or_insert(0) += 1;
-        }
-    }
-    Fig7::from_per_as(view.snap.ixp, view.snap.afi, per_as, limit)
+    let f = view.figures();
+    Fig7::from_per_as(f.report.ixp, f.report.afi, &f.fig7_per_as, limit)
 }
 
 #[cfg(test)]
@@ -311,7 +271,8 @@ mod tests {
         assert_eq!(f.total_in_scope, 2); // OVH + Google instances
         assert_eq!(f.top.len(), 2);
         for r in &f.top {
-            assert!(view.is_ineffective(&r.action));
+            let target = r.action.target.peer_asn().unwrap();
+            assert!(!snap.members.contains(&target));
         }
         // shares remain relative to ALL action instances
         assert!((f.top[0].share_pct - 25.0).abs() < 1e-9);

@@ -1,9 +1,10 @@
 //! The incremental report engine's headline claim: producing day N+1's
 //! report costs O(churn), not O(world). `day_update` clones a primed
 //! (state, engine) pair, applies one day of churn through the delta
-//! hook and finalizes the report; `batch_recompute` reruns the full
-//! batch pipeline over the same end-of-day snapshot. The issue's bar is
-//! a ≥10x gap, asserted by the CI gate from this bench's snapshot.
+//! hook and finalizes the report; `batch_recompute` folds the same
+//! end-of-day snapshot from scratch (`full_report`, the one aggregation
+//! path). The bar is a ≥10x gap, asserted by the CI gate from this
+//! bench's snapshot.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,7 +23,7 @@ use stream::RouterState;
 
 const IXP: IxpId = IxpId::Linx;
 const PEERS: u32 = 64;
-/// The standing RIB: the O(world) term the batch path pays every day.
+/// The standing RIB: the O(world) term a from-scratch fold pays every day.
 const WORLD_ROUTES: u32 = 100_000;
 /// One day's churn: the O(churn) term the incremental path pays.
 const CHURN_EVENTS: u32 = 500;
@@ -133,7 +134,7 @@ fn bench_day_update(c: &mut Criterion) {
 
 fn bench_batch_recompute(c: &mut Criterion) {
     // the same end-of-day world, paid for from scratch: snapshot the
-    // post-churn state once and rerun the full batch pipeline per iter
+    // post-churn state once and fold it from scratch per iter
     let (mut state, mut inc) = primed();
     for ev in &churn() {
         state.apply_with(ev, &mut inc);

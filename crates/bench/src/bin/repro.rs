@@ -3,7 +3,7 @@
 //! paper's published numbers.
 //!
 //! ```text
-//! repro [--scale 0.1] [--seed 29360094] [--all-ixps] [--csv DIR] [EXPERIMENT...]
+//! repro [--scale 0.1] [--seed 29425646] [--all-ixps] [--csv DIR] [EXPERIMENT...]
 //! ```
 //!
 //! With `--csv DIR`, every figure additionally writes its data series as
@@ -28,7 +28,7 @@ use community_dict::known;
 use analysis::prelude::*;
 use bench::{paper, standard_scenario, AFIS};
 use ixp_sim::timeline::{generate_all, TimelineConfig};
-use looking_glass::snapshot::{Snapshot, SnapshotStore};
+use looking_glass::snapshot::SnapshotStore;
 
 struct Ctx {
     store: SnapshotStore,
@@ -38,13 +38,14 @@ struct Ctx {
     csv_dir: Option<std::path::PathBuf>,
 }
 
-impl Ctx {
-    fn view(&self, ixp: IxpId, afi: Afi) -> Option<(View<'_>, &Snapshot)> {
-        let snap = self.store.latest(ixp, afi)?;
-        let dict = &self.dicts.iter().find(|(i, _)| *i == ixp)?.1;
-        Some((View::new(snap, dict), snap))
-    }
+/// The folded view of one (IXP, family), when its snapshot was collected.
+fn view<'v, 'a>(views: &'v [View<'a>], ixp: IxpId, afi: Afi) -> Option<&'v View<'a>> {
+    views
+        .iter()
+        .find(|v| v.snap.ixp == ixp && v.snap.afi == afi)
+}
 
+impl Ctx {
     /// Write one figure's data series as CSV under --csv DIR.
     fn csv(&self, name: &str, headers: &[&str], rows: &[Vec<String>]) {
         let Some(dir) = &self.csv_dir else { return };
@@ -117,7 +118,7 @@ fn main() {
                      day count, STREAM_SCALE=F the world scale) and print the stream \
                      metrics + equivalence verdict\n\
                      stream --incremental: additionally print per-day incremental \
-                     finalize vs batch recompute verdicts and timings; with \
+                     finalize vs from-scratch fold verdicts and timings; with \
                      INCREMENTAL_MIN_SPEEDUP=X, exit nonzero below X-fold speedup\n\
                      --trace FILE: record the causal span trace and write it as Chrome \
                      trace_event JSON (open in Perfetto), plus a self-time table\n\
@@ -194,13 +195,9 @@ fn main() {
         }
     }
 
-    let needs_world = experiments.iter().any(|e| {
-        !matches!(
-            e.as_str(),
-            "table3" | "table4" | "sanitation" | "chaos" | "stream"
-        )
-    });
-    // (the overlap analysis also needs the world)
+    // experiments that read neither the world nor its folded views
+    let worldless = |e: &str| matches!(e, "table3" | "table4" | "sanitation" | "chaos" | "stream");
+    let needs_world = experiments.iter().any(|e| !worldless(e));
     let ctx = if needs_world {
         eprintln!(
             "building world (scale {scale}, seed {seed}, {} IXPs, {} worker thread(s))...",
@@ -228,10 +225,44 @@ fn main() {
         }
     };
 
+    // One fold per (IXP, family), shared by every figure and by --json.
+    // It is built at the first experiment that reads it, so Table 1
+    // prints straight after the collection.
+    let mut folded: Option<Vec<View<'_>>> = None;
+    for e in &experiments {
+        if folded.is_none() && e != "table1" && !worldless(e) {
+            folded = Some(analysis::summary::views(&ctx.store, &ctx.dicts));
+        }
+        let views = folded.as_deref().unwrap_or_default();
+        let _stage = registry.histogram(&obs::names::repro_stage(e)).start();
+        match e.as_str() {
+            "table1" => run_table1(&ctx),
+            "fig1" => run_fig1(&ctx, views),
+            "fig2" => run_fig2(&ctx, views),
+            "fig3" => run_fig3(&ctx, views),
+            "fig4a" => run_fig4a(&ctx, views),
+            "fig4b" => run_fig4b(&ctx, views),
+            "fig4c" => run_fig4c(&ctx, views),
+            "table2" => run_table2(&ctx, views),
+            "type-counts" => run_type_counts(&ctx, views),
+            "fig5" => run_fig5(&ctx, views),
+            "fig6" => run_fig6(&ctx, views),
+            "ineffective" => run_ineffective(&ctx, views),
+            "fig7" => run_fig7(&ctx, views),
+            "table3" => run_table3(&ctx),
+            "table4" => run_table4(&ctx),
+            "sanitation" => run_sanitation(&ctx),
+            "overlap" => run_overlap(&ctx, views),
+            "chaos" => run_chaos(seed),
+            "stream" => run_stream(seed, incremental),
+            other => eprintln!("unknown experiment: {other}"),
+        }
+    }
+
     if let Some(path) = &json_out {
         // the machine-readable counterpart: every analysis, one JSON file
-        let report = analysis::summary::full_report(&ctx.store, &ctx.dicts);
-        match serde_json::to_vec_pretty(&report) {
+        let views = folded.get_or_insert_with(|| analysis::summary::views(&ctx.store, &ctx.dicts));
+        match serde_json::to_vec_pretty(&FullReport::from_views(views)) {
             Ok(bytes) => {
                 if let Err(e) = std::fs::write(path, bytes) {
                     eprintln!("json: cannot write {}: {e}", path.display());
@@ -240,32 +271,6 @@ fn main() {
                 }
             }
             Err(e) => eprintln!("json: encode failed: {e}"),
-        }
-    }
-
-    for e in &experiments {
-        let _stage = registry.histogram(&obs::names::repro_stage(e)).start();
-        match e.as_str() {
-            "table1" => run_table1(&ctx),
-            "fig1" => run_fig1(&ctx),
-            "fig2" => run_fig2(&ctx),
-            "fig3" => run_fig3(&ctx),
-            "fig4a" => run_fig4a(&ctx),
-            "fig4b" => run_fig4b(&ctx),
-            "fig4c" => run_fig4c(&ctx),
-            "table2" => run_table2(&ctx),
-            "type-counts" => run_type_counts(&ctx),
-            "fig5" => run_fig5(&ctx),
-            "fig6" => run_fig6(&ctx),
-            "ineffective" => run_ineffective(&ctx),
-            "fig7" => run_fig7(&ctx),
-            "table3" => run_table3(&ctx),
-            "table4" => run_table4(&ctx),
-            "sanitation" => run_sanitation(&ctx),
-            "overlap" => run_overlap(&ctx),
-            "chaos" => run_chaos(seed),
-            "stream" => run_stream(seed, incremental),
-            other => eprintln!("unknown experiment: {other}"),
         }
     }
 
@@ -523,7 +528,7 @@ fn run_table1(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_fig1(ctx: &Ctx) {
+fn run_fig1(ctx: &Ctx, views: &[View<'_>]) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut t = TextTable::new(
         "Fig. 1 — IXP-defined vs unknown communities",
@@ -538,10 +543,10 @@ fn run_fig1(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let f = fig1(&view);
+            let f = fig1(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig1_v4(*ixp)
                     .map(|(d, u)| format!("{d:.1}/{u:.1}"))
@@ -574,7 +579,7 @@ fn run_fig1(ctx: &Ctx) {
     );
 }
 
-fn run_fig2(ctx: &Ctx) {
+fn run_fig2(ctx: &Ctx, views: &[View<'_>]) {
     let mut t = TextTable::new(
         "Fig. 2 — community types among IXP-defined",
         &[
@@ -589,10 +594,10 @@ fn run_fig2(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let f = fig2(&view);
+            let f = fig2(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig2_standard_v4(*ixp)
                     .map(|p| format!("{p:.1}"))
@@ -614,7 +619,7 @@ fn run_fig2(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_fig3(ctx: &Ctx) {
+fn run_fig3(ctx: &Ctx, views: &[View<'_>]) {
     let mut t = TextTable::new(
         "Fig. 3 — action vs informational (standard, IXP-defined)",
         &[
@@ -628,10 +633,10 @@ fn run_fig3(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let f = fig3(&view);
+            let f = fig3(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig3_v4(*ixp)
                     .map(|(a, i)| format!("{a:.1}/{i:.1}"))
@@ -652,7 +657,7 @@ fn run_fig3(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_fig4a(ctx: &Ctx) {
+fn run_fig4a(ctx: &Ctx, views: &[View<'_>]) {
     let mut t = TextTable::new(
         "Fig. 4a — ASes and routes using action communities",
         &[
@@ -667,10 +672,10 @@ fn run_fig4a(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let f = fig4a(&view);
+            let f = fig4a(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig4a(*ixp)
                     .map(|(a4, a6, r4)| format!("{a4:.1}/{a6:.1}, {r4:.1}"))
@@ -692,7 +697,7 @@ fn run_fig4a(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_fig4b(ctx: &Ctx) {
+fn run_fig4b(ctx: &Ctx, views: &[View<'_>]) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut t = TextTable::new(
         "Fig. 4b — skew of action-community usage across ASes (IPv4)",
@@ -706,10 +711,10 @@ fn run_fig4b(ctx: &Ctx) {
         ],
     );
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = view(views, *ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig4b(&view);
+        let f = fig4b(view);
         let paper = paper::fig4b_top1pct(*ixp)
             .map(|p| format!("~{:.0}%", p * 100.0))
             .unwrap_or_default();
@@ -737,7 +742,7 @@ fn run_fig4b(ctx: &Ctx) {
     );
 }
 
-fn run_fig4c(ctx: &Ctx) {
+fn run_fig4c(ctx: &Ctx, views: &[View<'_>]) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut t = TextTable::new(
         "Fig. 4c — correlation between route share and action share (IPv4)",
@@ -751,10 +756,10 @@ fn run_fig4c(ctx: &Ctx) {
         ],
     );
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = view(views, *ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig4c(&view);
+        let f = fig4c(view);
         let (ul, br) = f.asymmetry();
         t.row([
             ixp.short_name().to_string(),
@@ -786,7 +791,7 @@ fn run_fig4c(ctx: &Ctx) {
     );
 }
 
-fn run_table2(ctx: &Ctx) {
+fn run_table2(ctx: &Ctx, views: &[View<'_>]) {
     let mut t = TextTable::new(
         "Table 2 — ASes using each action type",
         &[
@@ -801,10 +806,10 @@ fn run_table2(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let tb = table2(&view);
+            let tb = table2(view);
             let cell = |g: ActionGroup| format!("{} ({})", tb.count(g), pct1(tb.pct(g)));
             let paper = if afi == Afi::Ipv4 {
                 paper::table2_v4(*ixp)
@@ -827,7 +832,7 @@ fn run_table2(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_type_counts(ctx: &Ctx) {
+fn run_type_counts(ctx: &Ctx, views: &[View<'_>]) {
     let mut t = TextTable::new(
         "§5.3 — action instances per type",
         &[
@@ -842,10 +847,10 @@ fn run_type_counts(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let tc = type_counts(&view);
+            let tc = type_counts(view);
             t.row([
                 ixp.short_name().to_string(),
                 afi.to_string(),
@@ -862,13 +867,13 @@ fn run_type_counts(ctx: &Ctx) {
     println!("paper IPv4 ranges: avoid {a}, only {b}, prepend {c}, blackhole {d}\n");
 }
 
-fn run_fig5(ctx: &Ctx) {
+fn run_fig5(ctx: &Ctx, views: &[View<'_>]) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = view(views, *ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig5(&view);
+        let f = fig5(view);
         let mut t = TextTable::new(
             format!(
                 "Fig. 5 — top-20 action communities at {} (IPv4, total {})",
@@ -906,12 +911,12 @@ fn run_fig5(ctx: &Ctx) {
     );
 }
 
-fn run_fig6(ctx: &Ctx) {
+fn run_fig6(ctx: &Ctx, views: &[View<'_>]) {
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = view(views, *ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig6(&view);
+        let f = fig6(view);
         let mut t = TextTable::new(
             format!(
                 "Fig. 6 — top-20 action communities targeting non-RS members at {} (IPv4, total {})",
@@ -920,7 +925,7 @@ fn run_fig6(ctx: &Ctx) {
             ),
             &["#", "Community", "Meaning", "Count", "Share of all actions"],
         );
-        for (i, r) in f.top.iter().take(20).enumerate() {
+        for (i, r) in f.top.iter().enumerate() {
             t.row([
                 (i + 1).to_string(),
                 r.community.to_string(),
@@ -936,7 +941,7 @@ fn run_fig6(ctx: &Ctx) {
     }
 }
 
-fn run_ineffective(ctx: &Ctx) {
+fn run_ineffective(ctx: &Ctx, views: &[View<'_>]) {
     let mut t = TextTable::new(
         "§5.5 — action communities targeting ASes not at the RS",
         &[
@@ -950,10 +955,10 @@ fn run_ineffective(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = view(views, *ixp, afi) else {
                 continue;
             };
-            let i = ineffective(&view);
+            let i = ineffective(view);
             let paper = match afi {
                 Afi::Ipv4 => paper::ineffective_v4(*ixp),
                 Afi::Ipv6 => paper::ineffective_v6(*ixp),
@@ -973,13 +978,13 @@ fn run_ineffective(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_fig7(ctx: &Ctx) {
+fn run_fig7(ctx: &Ctx, views: &[View<'_>]) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = view(views, *ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig7(&view, 10);
+        let f = fig7(view, 10);
         let mut t = TextTable::new(
             format!(
                 "Fig. 7 — top-10 ASes tagging non-RS-member targets at {} (IPv4, total {})",
@@ -1140,17 +1145,17 @@ fn run_sanitation(ctx: &Ctx) {
         "paper: removed 169 snapshots (= {:.1}%)\n",
         paper::SANITATION_REMOVED_PCT
     );
-    let _ = known::name_of; // keep the import meaningful for future columns
 }
 
-fn run_overlap(ctx: &Ctx) {
+fn run_overlap(ctx: &Ctx, views: &[View<'_>]) {
     // §5.4: intersections of the top-20 avoid targets across IXPs
-    let views: Vec<View<'_>> = ctx
+    let tops: Vec<&TopCommunities> = ctx
         .ixps
         .iter()
-        .filter_map(|ixp| ctx.view(*ixp, Afi::Ipv4).map(|(v, _)| v))
+        .filter_map(|ixp| view(views, *ixp, Afi::Ipv4))
+        .map(|v| &v.figures().report.fig5)
         .collect();
-    let ov = analysis::overlap::target_overlap(&views);
+    let ov = analysis::overlap::target_overlap_from_tops(&tops);
     let mut t = TextTable::new(
         "§5.4 — cross-IXP intersection of top-20 avoid targets (IPv4)",
         &["Pair", "Shared targets"],
@@ -1242,7 +1247,7 @@ fn run_chaos(master_seed: u64) {
 ///
 /// With `--incremental`, additionally prints the per-day verdict and
 /// timing of the incremental report finalize (O(churn) path) against
-/// the batch recompute over the same end-of-day snapshot, and — when
+/// a from-scratch fold of the same end-of-day snapshot, and — when
 /// `INCREMENTAL_MIN_SPEEDUP=X` is set — exits nonzero if the aggregate
 /// speedup falls below `X`-fold (the CI gate).
 fn run_stream(master_seed: u64, incremental: bool) {
@@ -1317,12 +1322,12 @@ fn run_stream(master_seed: u64, incremental: bool) {
     if incremental {
         // fold the engine's delta count into the metric registry, then
         // report the per-day O(churn) finalize against the O(world)
-        // batch recompute the campaign timed alongside it
+        // from-scratch fold the campaign timed alongside it
         registry
             .counter(obs::names::ANALYSIS_INCREMENTAL_DELTAS)
             .add(outcome.incremental_deltas);
         println!(
-            "incremental: {} delta(s) consumed; per-day finalize vs batch recompute:",
+            "incremental: {} delta(s) consumed; per-day finalize vs from-scratch fold:",
             outcome.incremental_deltas
         );
         let (mut inc_total, mut batch_total) = (0u64, 0u64);
@@ -1330,7 +1335,7 @@ fn run_stream(master_seed: u64, incremental: bool) {
             inc_total += rec.incremental_ns;
             batch_total += rec.batch_ns;
             println!(
-                "  day {:>2}: {} — incremental {:>10} ns, batch {:>12} ns ({:.1}x)",
+                "  day {:>2}: {} — incremental {:>10} ns, fold {:>12} ns ({:.1}x)",
                 rec.day,
                 if rec.incremental_hash == rec.batch_hash {
                     "reports identical"
@@ -1343,7 +1348,7 @@ fn run_stream(master_seed: u64, incremental: bool) {
             );
         }
         let speedup = batch_total as f64 / inc_total.max(1) as f64;
-        println!("  totals: incremental {inc_total} ns vs batch {batch_total} ns — {speedup:.1}x");
+        println!("  totals: incremental {inc_total} ns vs fold {batch_total} ns — {speedup:.1}x");
         let min_speedup: f64 = std::env::var("INCREMENTAL_MIN_SPEEDUP")
             .ok()
             .and_then(|s| s.parse().ok())

@@ -321,7 +321,7 @@ pub struct StreamDayRecord {
     /// Wall-clock nanoseconds the incremental finalize took. Timing
     /// only — never folded into a fingerprint or oracle verdict.
     pub incremental_ns: u64,
-    /// Wall-clock nanoseconds the batch recompute took.
+    /// Wall-clock nanoseconds the from-scratch fold took.
     pub batch_ns: u64,
 }
 
@@ -382,9 +382,9 @@ pub fn run_stream_campaign(
             ..stream::collector::StreamConfig::default()
         });
     let mut state = stream::state::RouterState::new(cfg.ixp);
-    // the incremental report engine rides the delta feed; every day the
-    // batch report recomputed from the streamed snapshot serves as its
-    // correctness oracle (the IncrementalDivergence check)
+    // the incremental report engine rides the delta feed; every day a
+    // fresh fold of the streamed snapshot serves as its correctness
+    // oracle (the IncrementalDivergence check)
     let dicts = vec![(cfg.ixp, community_dict::schemes::dictionary(cfg.ixp))];
     let mut inc = analysis::incremental::IncrementalReport::new(&dicts);
     if plan.disable_retraction {
@@ -480,8 +480,8 @@ pub fn run_stream_campaign(
         let streamed_snap = state.to_snapshot(cfg.afi, day);
         let streamed_hash = snapshot_fingerprint(&streamed_snap);
 
-        // incremental vs batch: finalize the engine's O(churn) report and
-        // recompute the same unit from scratch over the streamed snapshot,
+        // incremental vs fold: finalize the engine's O(churn) report and
+        // fold the same unit from scratch over the streamed snapshot,
         // timing both paths (wall clock; never part of any fingerprint)
         let timer = obs::global()
             .histogram(obs::names::ANALYSIS_INCREMENTAL_DAY_NS)

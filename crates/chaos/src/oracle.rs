@@ -118,15 +118,15 @@ pub enum Violation {
         minted: u64,
     },
     /// The day's report finalized by the incremental engine (O(churn))
-    /// is not byte-identical to the batch report recomputed from scratch
-    /// over the streamed end-of-day snapshot (O(world)) — the
-    /// apply/retract/merge algebra lost or invented aggregate state.
+    /// is not byte-identical to a fresh fold of the streamed end-of-day
+    /// snapshot (O(world)) — the apply/retract/merge algebra lost or
+    /// invented aggregate state.
     IncrementalDivergence {
         /// Day of the divergence.
         day: u32,
         /// Fingerprint of the incremental engine's report.
         incremental: u64,
-        /// Fingerprint of the recomputed batch report.
+        /// Fingerprint of the from-scratch fold's report.
         batch: u64,
     },
 }
@@ -472,8 +472,8 @@ pub fn check_stream_campaign(
                 reference: rec.reference_hash,
             });
         }
-        // the incremental report must match the batch recompute of the
-        // very same streamed state — unconditionally: even when faults
+        // the incremental report must match a fresh fold of the very
+        // same streamed state — unconditionally: even when faults
         // corrupted the store, the engine tracks the store, so any
         // disagreement here is the engine's own algebra going wrong
         if rec.incremental_hash != rec.batch_hash {

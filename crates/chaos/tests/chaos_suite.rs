@@ -431,7 +431,7 @@ fn fixture_silently_lost_peer_down_diverges_the_stream() {
 fn fixture_disabled_retraction_diverges_the_incremental_report() {
     // with retraction disabled the incremental engine never subtracts a
     // withdrawn (or replaced) route's contribution, so churn makes its
-    // aggregates drift above the batch recompute of the very same
+    // aggregates drift above a fresh fold of the very same
     // streamed state — the incremental-divergence oracle must catch it
     let cfg = CampaignConfig::default();
     let plan = FaultPlan {

@@ -19,6 +19,15 @@ if [[ "$fast" -eq 0 ]]; then
     cargo build --workspace --release
 fi
 
+# The benchmark harness is a workspace of its own (perfbench/harness), so
+# the workspace build above does not see it. Build it here so an API
+# change in the crates it calls (analysis, looking-glass, stream, ...)
+# fails CI instead of the benchmark, and run the runner's unit tests.
+echo "==> perfbench harness build + runner unit tests"
+CARGO_TARGET_DIR=.bench_build cargo build --release \
+    --manifest-path perfbench/harness/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
@@ -59,15 +68,19 @@ if [[ "$fast" -eq 0 ]]; then
     STREAM_DAYS="${STREAM_DAYS:-12}" target/release/repro stream >/dev/null
 fi
 
-# Incremental/batch report equivalence oracle plus the perf bar. The
-# golden test replays an 84-day chaotic dual campaign and requires the
-# incremental engine's per-day report — updated O(churn) per RibEvent —
-# to serialize byte-identical to the batch recompute over the same
-# end-of-day snapshot, at PAR_THREADS=1 and 4 (divergence dumps land
-# under target/incremental-divergence/). The repro drive then re-checks
-# the per-day verdicts end-to-end and enforces the issue's bar: the
-# incremental day update must be >=10x faster than the batch recompute
-# (exit nonzero below the bar; BENCH_10.json records the measured gap).
+# Incremental/fold report equivalence oracle plus the perf bar. There is
+# one aggregation path: every figure is read from the engine's counters,
+# and `full_report` folds each snapshot into fresh ones. The golden test
+# replays an 84-day chaotic dual campaign and requires the engine's
+# per-day report — maintained O(churn) per RibEvent — to serialize
+# byte-identical to a fresh fold of the same end-of-day snapshot, at
+# PAR_THREADS=1 and 4 (divergence dumps land under
+# target/incremental-divergence/). That checks the retract, merge and
+# session-rescope algebra; the counting rules themselves are pinned by
+# crates/bench/tests/goldens/full_report.json and the unit tests. The
+# repro drive then re-checks the per-day verdicts end-to-end and enforces
+# the bar: the incremental day update must be >=10x faster than the
+# from-scratch fold (exit nonzero below the bar).
 if [[ "$fast" -eq 0 ]]; then
     echo "==> incremental equivalence (84-day golden, release)"
     cargo test -q --release --test incremental_equivalence

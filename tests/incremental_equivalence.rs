@@ -1,11 +1,13 @@
-//! The incremental/batch report equivalence oracle (golden).
+//! The incremental/fold report equivalence oracle (golden).
 //!
 //! Runs the chaos dual campaign for the paper's full 84-day window under
 //! a seed-derived fault plan. Every day the campaign finalizes the
 //! incremental engine's report (updated per applied `RibEvent`, O(churn))
-//! and recomputes the same report from scratch over the streamed
-//! end-of-day snapshot (O(world)); the two must serialize byte-identical
-//! — every float, sort and tie-break — at `PAR_THREADS=1` and `4`. On
+//! and folds the streamed end-of-day snapshot into fresh counters
+//! (O(world)); the two must serialize byte-identical — every float, sort
+//! and tie-break — at `PAR_THREADS=1` and `4`. Both share the counting
+//! rules, so this checks the retract, merge and session-rescope algebra;
+//! the rules themselves are pinned by the `full_report.json` golden. On
 //! divergence both serialized reports land under
 //! `target/incremental-divergence/` so the failure is diffable rather
 //! than just red.
@@ -65,7 +67,7 @@ fn incremental_report_matches_batch_over_84_chaotic_days() {
                     .unwrap_or_else(|| ("<missing>".into(), "<missing>".into()));
                 let dir = dump_divergence(threads, rec.day, &inc, &batch);
                 panic!(
-                    "day {}: incremental report diverged from the batch recompute \
+                    "day {}: incremental report diverged from the from-scratch fold \
                      at PAR_THREADS={threads}; replay (seed={SEED}); \
                      variants written to {}",
                     rec.day,
