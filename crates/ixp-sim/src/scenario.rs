@@ -16,7 +16,7 @@ use looking_glass::snapshot::SnapshotStore;
 use stream::{RouterState, StreamCollector};
 
 use crate::timeline::CollectionMode;
-use crate::world::{build_world, IxpWorld, WorldConfig};
+use crate::world::{build_ixp, WorldConfig};
 
 /// Scenario configuration.
 #[derive(Debug, Clone)]
@@ -47,8 +47,6 @@ impl Default for ScenarioConfig {
 
 /// The result of a full collection run.
 pub struct Scenario {
-    /// The built worlds, LGs still attached.
-    pub worlds: Vec<(IxpWorld, Arc<LgServer>)>,
     /// The collected snapshots (both families per IXP).
     pub store: SnapshotStore,
 }
@@ -59,35 +57,28 @@ pub fn run(config: &ScenarioConfig) -> Scenario {
     let registry = obs::global();
     let _scenario_span = obs::span!(obs::names::SIM_SCENARIO);
     registry.gauge(obs::names::SIM_DAY).set(config.day as i64);
-    let worlds = {
-        let _span = obs::span!(obs::names::SIM_BUILD_WORLD);
-        build_world(&config.ixps, &config.world)
-    };
     let collector = Collector::new(CollectorConfig::default());
     let stream_collector = StreamCollector::default();
     let snapshots_collected = registry.counter(obs::names::SIM_SNAPSHOTS_COLLECTED);
     let collections_failed = registry.counter(obs::names::SIM_COLLECTIONS_FAILED);
-    // Fan out per IXP: each task owns its LG (rate-limiter state and all)
-    // and runs both families against it sequentially, exactly like the
-    // serial loop did. Virtual start times and LG seeds are derived from
-    // (ixp, afi), not from wall time or scheduling, and the ordered join
-    // merges snapshots in IXP order — the store is identical for any
-    // `PAR_THREADS`.
-    let results = par::map_indexed(&worlds, |_, world| {
-        let ixp = world.ixp;
+    // One task per IXP builds its world, moves the route server into its
+    // own LG (rate-limiter state and all), runs both families against it
+    // sequentially and drops both before returning, so worlds are built
+    // and freed in parallel. Each IXP derives its world RNG, LG seed and
+    // virtual start times from (seed, ixp, afi), not from wall time or
+    // scheduling, and the ordered join merges snapshots in IXP order —
+    // the store is identical for any `PAR_THREADS`.
+    let results = par::map_indexed(&config.ixps, |_, &ixp| {
+        let rs = build_ixp(ixp, &config.world).rs;
         let _ixp_span = obs::span!(obs::names::SIM_COLLECT_IXP);
-        let rs = Arc::new(RwLock::new(world.rs.clone()));
-        let lg = Arc::new(LgServer::new(
-            Arc::clone(&rs),
-            config.world.seed ^ (ixp as u64),
-        ));
+        let lg = LgServer::new(Arc::new(RwLock::new(rs)), config.world.seed ^ (ixp as u64));
         lg.set_failures(config.failures.clone());
         let mut snaps = Vec::with_capacity(2);
         let mut failed = 0u64;
         match config.mode {
             CollectionMode::Snapshot => {
                 for afi in [Afi::Ipv4, Afi::Ipv6] {
-                    let mut transport = &*lg;
+                    let mut transport = &lg;
                     // start collections far enough apart that the bucket refills
                     let start = (ixp as u64) * 100_000_000 + (afi as u64) * 50_000_000;
                     if let Ok(report) = collector.collect(&mut transport, afi, config.day, start) {
@@ -101,7 +92,7 @@ pub fn run(config: &ScenarioConfig) -> Scenario {
                 // one drain rebuilds both families: the initial table dump
                 // replays the whole RIB, and the state store snapshots
                 // per-family views of the same incremental state
-                let mut transport = &*lg;
+                let mut transport = &lg;
                 let mut state = RouterState::new(ixp);
                 let start = (ixp as u64) * 100_000_000;
                 match stream_collector.drain(&mut state, &mut transport, start) {
@@ -114,19 +105,17 @@ pub fn run(config: &ScenarioConfig) -> Scenario {
                 }
             }
         }
-        (lg, snaps, failed)
+        (snaps, failed)
     });
     let mut store = SnapshotStore::new();
-    let mut out = Vec::with_capacity(worlds.len());
-    for (world, (lg, snaps, failed)) in worlds.into_iter().zip(results) {
+    for (snaps, failed) in results {
         snapshots_collected.add(snaps.len() as u64);
         collections_failed.add(failed);
         for snapshot in snaps {
             store.insert(snapshot);
         }
-        out.push((world, lg));
     }
-    Scenario { worlds: out, store }
+    Scenario { store }
 }
 
 #[cfg(test)]
@@ -152,12 +141,9 @@ mod tests {
         assert!(!snap.partial);
         assert!(snap.route_count() > 500);
         assert!(snap.community_instances() > snap.route_count());
-        // the snapshot matches what the RS holds
-        let (world, _) = scenario
-            .worlds
-            .iter()
-            .find(|(w, _)| w.ixp == IxpId::Linx)
-            .unwrap();
+        // the snapshot matches what the RS holds (an independent build
+        // from the same seed)
+        let world = build_ixp(IxpId::Linx, &config.world);
         let rs_v4_routes = world
             .rs
             .accepted()

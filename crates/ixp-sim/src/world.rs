@@ -303,6 +303,7 @@ fn synthesize_route(
 
 /// Build all requested IXPs.
 pub fn build_world(ixps: &[IxpId], config: &WorldConfig) -> Vec<IxpWorld> {
+    let _span = obs::span!(obs::names::SIM_BUILD_WORLD);
     // Each IXP derives its own RNG stream from the seed, so worlds build
     // in parallel with an ordered join — same Vec as the serial loop.
     par::map_indexed(ixps, |_, ixp| build_ixp(*ixp, config))

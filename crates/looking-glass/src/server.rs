@@ -9,10 +9,12 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use bgp_model::asn::Asn;
 use bgp_model::prefix::Afi;
+use bgp_model::route::Route;
 
 use route_server::events::RibEvent;
-use route_server::server::RouteServer;
+use route_server::server::{FilteredRoute, RouteServer};
 
 use crate::api::{
     LgError, LgRequest, LgResponse, MemberSummary, StreamFrame, PAGE_SIZE, STREAM_PAGE,
@@ -285,22 +287,10 @@ impl LgServer {
         let rs = self.rs.read();
         let members = rs
             .members_for(afi)
-            .map(|m| {
-                let accepted = rs
-                    .accepted()
-                    .peer(m.asn)
-                    .map(|t| t.iter_afi(afi).count())
-                    .unwrap_or(0);
-                let filtered = rs
-                    .filtered()
-                    .iter()
-                    .filter(|f| f.peer == m.asn && f.route.afi() == afi)
-                    .count();
-                MemberSummary {
-                    asn: m.asn,
-                    accepted_routes: accepted,
-                    filtered_routes: filtered,
-                }
+            .map(|m| MemberSummary {
+                asn: m.asn,
+                accepted_routes: peer_routes(&rs, m.asn, afi, false).count(),
+                filtered_routes: peer_routes(&rs, m.asn, afi, true).count(),
             })
             .collect();
         LgResponse::Summary {
@@ -311,7 +301,7 @@ impl LgServer {
 
     fn routes(
         &self,
-        peer: bgp_model::asn::Asn,
+        peer: Asn,
         afi: Afi,
         filtered: bool,
         page: usize,
@@ -321,25 +311,17 @@ impl LgServer {
         if !rs.is_member(peer) {
             return Err(LgError::UnknownPeer(peer));
         }
-        let all: Vec<bgp_model::route::Route> = if filtered {
-            rs.filtered()
-                .iter()
-                .filter(|f| f.peer == peer && f.route.afi() == afi)
-                .map(|f| f.route.clone())
-                .collect()
-        } else {
-            rs.accepted()
-                .peer(peer)
-                .map(|t| t.iter_afi(afi).cloned().collect())
-                .unwrap_or_default()
-        };
-        let total_pages = all.len().div_ceil(PAGE_SIZE).max(1);
+        let total = peer_routes(&rs, peer, afi, filtered).count();
+        let total_pages = total.div_ceil(PAGE_SIZE).max(1);
         if page >= total_pages {
             return Err(LgError::PageOutOfRange { page, total_pages });
         }
-        let start = page * PAGE_SIZE;
-        let end = (start + PAGE_SIZE).min(all.len());
-        let mut routes = all[start..end].to_vec();
+        // counted, then skipped to: only the served page is cloned
+        let mut routes: Vec<Route> = peer_routes(&rs, peer, afi, filtered)
+            .skip(page * PAGE_SIZE)
+            .take(PAGE_SIZE)
+            .cloned()
+            .collect();
         if truncate && routes.len() > 1 {
             // silent partial data: drop the tail of the page
             routes.truncate(routes.len() / 2);
@@ -353,11 +335,25 @@ impl LgServer {
     }
 }
 
+/// The routes of `peer` in `afi` the route server accepted or, with
+/// `filtered`, rejected, in serving order. Nothing is copied.
+fn peer_routes(
+    rs: &RouteServer,
+    peer: Asn,
+    afi: Afi,
+    filtered: bool,
+) -> Box<dyn Iterator<Item = &Route> + '_> {
+    if !filtered {
+        let table = rs.accepted().peer(peer);
+        return Box::new(table.into_iter().flat_map(move |t| t.iter_afi(afi)));
+    }
+    let of_peer = move |f: &&FilteredRoute| f.peer == peer && f.route.afi() == afi;
+    Box::new(rs.filtered().iter().filter(of_peer).map(|f| &f.route))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_model::asn::Asn;
-    use bgp_model::route::Route;
     use community_dict::ixp::IxpId;
 
     fn setup(seed: u64) -> LgServer {
@@ -451,6 +447,139 @@ mod tests {
             ),
             Err(LgError::UnknownPeer(Asn(7)))
         );
+    }
+
+    /// Routes per family for the paging peer: more than two pages of
+    /// accepted and of filtered routes, the last page partial.
+    const PAGED: usize = 2 * PAGE_SIZE + 17;
+
+    /// An LG whose peer 39120 holds [`PAGED`] accepted and [`PAGED`]
+    /// filtered (too specific) routes in each family; peer 6939 holds
+    /// none. The limiter never blocks.
+    fn paged_setup(truncate_rate: f64) -> LgServer {
+        let mut rs = RouteServer::for_ixp(IxpId::Linx);
+        rs.add_member(Asn(39120), true, true);
+        rs.add_member(Asn(6939), true, true);
+        for i in 0..PAGED {
+            let (hi, lo) = (i / 256, i % 256);
+            for prefix in [
+                format!("193.{hi}.{lo}.0/24"),
+                format!("194.{hi}.{lo}.0/25"),
+                format!("2a00:{i:x}::/48"),
+                format!("2a01:{i:x}::/56"),
+            ] {
+                let r = Route::builder(prefix.parse().unwrap(), "198.32.0.7".parse().unwrap())
+                    .path([39120, 15169])
+                    .build();
+                rs.announce(Asn(39120), r);
+            }
+        }
+        let lg = LgServer::new(Arc::new(RwLock::new(rs)), 7);
+        lg.set_limiter(RateLimiter::new(10_000, 10_000.0));
+        lg.set_failures(FailureModel {
+            error_rate: 0.0,
+            truncate_rate,
+        });
+        lg
+    }
+
+    fn page(
+        lg: &LgServer,
+        peer: u32,
+        afi: Afi,
+        filtered: bool,
+        page: usize,
+    ) -> Result<(Vec<Route>, usize), LgError> {
+        let request = LgRequest::Routes {
+            peer: Asn(peer),
+            afi,
+            filtered,
+            page,
+        };
+        match lg.handle(&request, 0)? {
+            LgResponse::Routes {
+                routes,
+                page: served,
+                total_pages,
+            } => {
+                assert_eq!(served, page);
+                Ok((routes, total_pages))
+            }
+            other => panic!("not a routes page: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pages_concatenate_to_the_table_in_order() {
+        let lg = paged_setup(0.0);
+        let rs = lg.route_server();
+        let rs = rs.read();
+        for afi in [Afi::Ipv4, Afi::Ipv6] {
+            for filtered in [false, true] {
+                let expect: Vec<Route> = if filtered {
+                    rs.filtered()
+                        .iter()
+                        .filter(|f| f.peer == Asn(39120) && f.route.afi() == afi)
+                        .map(|f| f.route.clone())
+                        .collect()
+                } else {
+                    let table = rs.accepted().peer(Asn(39120)).unwrap();
+                    table.iter_afi(afi).cloned().collect()
+                };
+                assert_eq!(expect.len(), PAGED, "{afi} filtered={filtered}");
+                let mut got = Vec::new();
+                for p in 0..3 {
+                    let (routes, total_pages) = page(&lg, 39120, afi, filtered, p).unwrap();
+                    assert_eq!(total_pages, 3, "{afi} filtered={filtered}");
+                    let want = if p == 2 { PAGED % PAGE_SIZE } else { PAGE_SIZE };
+                    assert_eq!(routes.len(), want, "{afi} filtered={filtered} page {p}");
+                    got.extend(routes);
+                }
+                assert_eq!(got, expect, "{afi} filtered={filtered}");
+                assert_eq!(
+                    page(&lg, 39120, afi, filtered, 3),
+                    Err(LgError::PageOutOfRange {
+                        page: 3,
+                        total_pages: 3
+                    }),
+                    "{afi} filtered={filtered}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_table_serves_one_empty_page() {
+        let lg = paged_setup(0.0);
+        for afi in [Afi::Ipv4, Afi::Ipv6] {
+            for filtered in [false, true] {
+                assert_eq!(page(&lg, 6939, afi, filtered, 0), Ok((Vec::new(), 1)));
+                assert_eq!(
+                    page(&lg, 6939, afi, filtered, 1),
+                    Err(LgError::PageOutOfRange {
+                        page: 1,
+                        total_pages: 1
+                    })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_halves_every_served_page() {
+        let full = paged_setup(0.0);
+        let truncated = paged_setup(1.0);
+        for afi in [Afi::Ipv4, Afi::Ipv6] {
+            for filtered in [false, true] {
+                for p in 0..3 {
+                    let (whole, _) = page(&full, 39120, afi, filtered, p).unwrap();
+                    let (half, total_pages) = page(&truncated, 39120, afi, filtered, p).unwrap();
+                    assert_eq!(total_pages, 3);
+                    assert_eq!(half.len(), whole.len() / 2);
+                    assert_eq!(half, whole[..half.len()]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub const LG_CLIENT_COLLECT_MS: &str = "lg.client.collect_ms";
 
 /// Span: build one IXP world.
 pub const SIM_BUILD_IXP: &str = "sim.build_ixp";
-/// Span: build all worlds for a scenario.
+/// Span: build all requested worlds (`world::build_world`).
 pub const SIM_BUILD_WORLD: &str = "sim.build_world";
 /// Span: run one scenario end to end.
 pub const SIM_SCENARIO: &str = "sim.scenario";
@@ -148,8 +148,6 @@ pub fn chaos_seed_span(seed: u64) -> String {
 
 /// Tasks executed by `par::map_indexed` (serial fallback included).
 pub const PAR_TASKS: &str = "par.tasks";
-/// Tasks a worker claimed from another worker's block.
-pub const PAR_STEALS: &str = "par.steals";
 /// Tasks not yet completed in the current `map_indexed` call.
 pub const PAR_QUEUE_DEPTH: &str = "par.queue_depth";
 /// Per-task wall time, nanoseconds (aggregate across call sites).
@@ -268,7 +266,6 @@ pub const ALL: &[&str] = &[
     STREAM_POLLS,
     STREAM_DRAIN,
     PAR_TASKS,
-    PAR_STEALS,
     PAR_QUEUE_DEPTH,
     PAR_TASK_NS,
     ANALYSIS_FULL_REPORT,

@@ -21,10 +21,10 @@
 //!    other's inputs, and the pipeline's tasks are seeded per (ixp,
 //!    day, afi) so they share no RNG stream. Observability counters are
 //!    the one sanctioned shared sink, and those are commutative atomic
-//!    adds (sharded per worker here and merged once at join, so the
+//!    adds (the pool's task count is added once at the join, so the
 //!    ingest path takes no lock).
-//! 3. **Scheduling-dependent control flow.** Work distribution uses
-//!    per-block atomic cursors (`fetch_add` claims), which affects only
+//! 3. **Scheduling-dependent control flow.** Work distribution uses one
+//!    shared atomic cursor (`fetch_add` claims), which affects only
 //!    *which worker* runs a task, never *whether* or *with what input*
 //!    it runs. Every index in `0..items.len()` is claimed exactly once.
 //!
@@ -34,12 +34,14 @@
 //!
 //! ## Work distribution
 //!
-//! The input range is split into one contiguous block per worker. Each
-//! block carries an atomic cursor; a worker drains its own block by
-//! `fetch_add(1)` and, once empty, steals from the other blocks'
-//! cursors the same way. A claim is valid iff the returned index is
-//! still inside the block, so no index is ever run twice and none is
-//! skipped — without locks and without `unsafe`.
+//! Every worker claims its next index from one shared cursor with
+//! `fetch_add(1)` until the cursor passes the end of the input, so
+//! indices are handed out in input order and a worker that finishes a
+//! long task simply claims the next unclaimed one. Two long tasks at
+//! adjacent indices therefore land on different workers, which a
+//! per-worker contiguous split would serialize. A claim is valid iff the
+//! returned index is inside the input, so no index is ever run twice and
+//! none is skipped — without locks and without `unsafe`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,19 +91,11 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
-/// One contiguous slice of the input range, drained via an atomic
-/// cursor. `cursor` values at or past `end` mean the block is empty.
-struct Block {
-    cursor: AtomicUsize,
-    end: usize,
-}
-
 /// Pre-minted metric handles for one `map_indexed` call. Handles are
 /// cheap clones of `Arc`s onto the global registry's atomics; minting
 /// them once per call keeps the per-task path lock-free.
 struct PoolMetrics {
     tasks: obs::Counter,
-    steals: obs::Counter,
     queue_depth: obs::Gauge,
     task_ns: obs::Histogram,
 }
@@ -115,7 +109,6 @@ impl PoolMetrics {
         let r = obs::global();
         Self {
             tasks: r.counter(obs::names::PAR_TASKS),
-            steals: r.counter(obs::names::PAR_STEALS),
             queue_depth: r.gauge(obs::names::PAR_QUEUE_DEPTH),
             task_ns: match site {
                 Some(s) => r.histogram(&obs::names::par_task_site(s)),
@@ -124,10 +117,6 @@ impl PoolMetrics {
         }
     }
 }
-
-/// One worker's contribution to a [`map_indexed`] join: its task and
-/// steal counts plus the index-tagged results it produced.
-type Shard<R> = (u64, u64, Vec<(usize, R)>);
 
 /// Map `f` over `items` on [`threads`] worker threads, returning the
 /// results **in input order**. `f` receives `(index, &item)`.
@@ -165,53 +154,30 @@ where
         return out;
     }
 
-    // One contiguous block per worker; block b owns [b*n/w, (b+1)*n/w).
-    let blocks: Vec<Block> = (0..workers)
-        .map(|b| Block {
-            cursor: AtomicUsize::new(b * n / workers),
-            end: (b + 1) * n / workers,
-        })
-        .collect();
+    let cursor = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
     m.queue_depth.set(n as i64);
 
-    let mut shards: Vec<Shard<R>> = Vec::with_capacity(workers);
-    let shard_results = std::thread::scope(|scope| {
-        let blocks = &blocks;
-        let completed = &completed;
-        let f = &f;
-        let parent = &parent;
-        let queue_depth = &m.queue_depth;
-        let task_ns = &m.task_ns;
+    let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     IN_WORKER.with(|c| c.set(true));
-                    let mut local: Vec<(usize, R)> = Vec::with_capacity(n / workers + 1);
-                    let (mut tasks, mut steals) = (0u64, 0u64);
-                    // Drain the own block first (offset 0), then steal
-                    // from the others in round-robin order.
-                    for offset in 0..workers {
-                        let block = &blocks[(w + offset) % workers];
-                        loop {
-                            let idx = block.cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= block.end {
-                                break;
-                            }
-                            tasks += 1;
-                            if offset > 0 {
-                                steals += 1;
-                            }
-                            let _task = obs::trace::attach_task(parent.as_ref(), idx);
-                            let timer = task_ns.start();
-                            local.push((idx, f(idx, &items[idx])));
-                            timer.stop();
-                            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                            queue_depth.set(n.saturating_sub(done) as i64);
+                    let mut local: Vec<(usize, R)> = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break;
                         }
+                        let _task = obs::trace::attach_task(parent.as_ref(), idx);
+                        let timer = m.task_ns.start();
+                        local.push((idx, f(idx, &items[idx])));
+                        timer.stop();
+                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                        m.queue_depth.set(n.saturating_sub(done) as i64);
                     }
                     IN_WORKER.with(|c| c.set(false));
-                    (tasks, steals, local)
+                    local
                 })
             })
             .collect();
@@ -221,21 +187,13 @@ where
                 Ok(shard) => shard,
                 Err(payload) => std::panic::resume_unwind(payload),
             })
-            .collect::<Vec<_>>()
+            .collect()
     });
-    shards.extend(shard_results);
 
-    // Ordered join: merge the sharded metric counts (one atomic add per
-    // worker, not per task) and sort results back into input order.
-    let (mut total_tasks, mut total_steals) = (0u64, 0u64);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
-    for (tasks, steals, local) in shards {
-        total_tasks += tasks;
-        total_steals += steals;
-        tagged.extend(local);
-    }
-    m.tasks.add(total_tasks);
-    m.steals.add(total_steals);
+    // Ordered join: count the tasks the workers ran (one atomic add per
+    // call, not per task) and sort results back into input order.
+    let mut tagged: Vec<(usize, R)> = shards.into_iter().flatten().collect();
+    m.tasks.add(tagged.len() as u64);
     m.queue_depth.set(0);
     tagged.sort_unstable_by_key(|(idx, _)| *idx);
     tagged.into_iter().map(|(_, r)| r).collect()
@@ -327,49 +285,55 @@ mod tests {
         assert!(threads() >= 1);
     }
 
+    /// The `par.tasks` delta across `body` and the `par.queue_depth`
+    /// after it, both read under the override lock: the metrics are
+    /// process-global, so a read outside the lock would also see the
+    /// pools of other tests running at the same time.
+    fn metrics_during(threads: usize, body: impl FnOnce()) -> (u64, i64) {
+        let r = obs::global();
+        let tasks = || r.counter(obs::names::PAR_TASKS).get();
+        with_threads(threads, || {
+            let before = tasks();
+            body();
+            (tasks() - before, r.gauge(obs::names::PAR_QUEUE_DEPTH).get())
+        })
+    }
+
     #[test]
     fn pool_metrics_account_for_all_tasks() {
         let items: Vec<u64> = (0..64).collect();
-        let before = obs::global().counter(obs::names::PAR_TASKS).get();
-        with_threads(4, || map_indexed(&items, |_, &x| x + 1));
-        let after = obs::global().counter(obs::names::PAR_TASKS).get();
-        assert_eq!(after - before, 64);
-        assert_eq!(obs::global().gauge(obs::names::PAR_QUEUE_DEPTH).get(), 0);
+        let (tasks, queue_depth) = metrics_during(4, || {
+            map_indexed(&items, |_, &x| x + 1);
+        });
+        assert_eq!(tasks, 64);
+        assert_eq!(queue_depth, 0);
     }
 
     #[test]
     fn pool_metrics_totals_are_exact() {
-        // The block-steal cursor claims indices with a Relaxed
-        // `fetch_add`; atomicity alone guarantees each index is claimed
-        // exactly once, so the merged totals must be exact — not merely
-        // approximate — no matter how claims interleave. Uneven task
-        // durations push workers into each other's blocks to exercise
-        // the stealing path. (This is the output-invariance argument
-        // backing the SC111 waiver for crates/par in staticheck.toml.)
+        // The shared cursor claims indices with a Relaxed `fetch_add`;
+        // atomicity alone guarantees each index is claimed exactly once,
+        // so the merged total must be exact — not merely approximate —
+        // no matter how claims interleave. Uneven task durations make
+        // completion order diverge from claim order each round. (This is
+        // the output-invariance argument backing the SC111 waiver for
+        // crates/par in staticheck.toml.)
         let items: Vec<u64> = (0..193).collect();
         for round in 0..16 {
-            let tasks_before = obs::global().counter(obs::names::PAR_TASKS).get();
-            let steals_before = obs::global().counter(obs::names::PAR_STEALS).get();
-            with_threads(4, || {
+            let (tasks, queue_depth) = metrics_during(4, || {
                 map_indexed(&items, |i, &x| {
-                    // spin longer on a sliding band of indices so block
-                    // ownership and completion order diverge each round
+                    // spin longer on a sliding band of indices so claim
+                    // and completion order diverge each round
                     let spin = if i % 4 == round % 4 { 2000 } else { 10 };
                     let mut h = x;
                     for _ in 0..spin {
                         h = h.wrapping_mul(0x100_0000_01b3).rotate_left(7);
                     }
                     h
-                })
+                });
             });
-            let tasks = obs::global().counter(obs::names::PAR_TASKS).get() - tasks_before;
-            let steals = obs::global().counter(obs::names::PAR_STEALS).get() - steals_before;
             assert_eq!(tasks, 193, "round {round}: every index exactly once");
-            assert!(
-                steals <= tasks,
-                "round {round}: steals {steals} > tasks {tasks}"
-            );
-            assert_eq!(obs::global().gauge(obs::names::PAR_QUEUE_DEPTH).get(), 0);
+            assert_eq!(queue_depth, 0, "round {round}");
         }
     }
 

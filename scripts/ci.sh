@@ -31,10 +31,12 @@ python3 -m unittest discover -s perfbench -p 'test_*.py'
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-# Serial/parallel equivalence matrix: the same pipeline artifacts must be
-# byte-identical under PAR_THREADS=1 and PAR_THREADS=4 (ordered joins).
-# On divergence the test writes both variants under target/par-divergence/
-# and the failure message names the diverging artifact path.
+# Serial/parallel equivalence: the same pipeline artifacts must be
+# byte-identical at 1, 2 and 4 worker threads (ordered joins). The test
+# pins those pool sizes itself, in process, so the PAR_THREADS env below
+# does not change what it compares. On divergence the test writes both
+# variants under target/par-divergence/ and the failure message names the
+# diverging artifact path.
 echo "==> determinism matrix (PAR_THREADS=1 and PAR_THREADS=4)"
 PAR_THREADS=1 cargo test -q --test par_equivalence
 PAR_THREADS=4 cargo test -q --test par_equivalence

@@ -4,11 +4,13 @@
 //! pipeline produces must be bit-for-bit identical under any
 //! `PAR_THREADS`. This test runs the two pipelines the executor is
 //! wired through — a chaos campaign corpus and a repro-style
-//! collect→analyze pass — once on one thread and once on four, and
+//! collect→analyze pass — on one, two and four pinned threads, and
 //! compares the chaos FNV-1a dataset fingerprints plus the fully
-//! serialized table/figure JSON. On divergence it writes both variants
-//! under `target/par-divergence/` and names the artifact, so a failure
-//! is diffable rather than just red.
+//! serialized table/figure JSON against the serial pass. Two threads is
+//! the count where one worker claims several of the pass's tasks in
+//! turn. On divergence it writes both variants under
+//! `target/par-divergence/` and names the artifact, so a failure is
+//! diffable rather than just red.
 
 use bgp_model::prefix::Afi;
 use chaos::prelude::*;
@@ -65,44 +67,46 @@ fn artifacts() -> (Vec<u64>, String, String) {
 
 /// Write both variants of a diverging artifact and return the directory,
 /// so the failure message points at something diffable.
-fn dump_divergence(name: &str, serial: &str, parallel: &str) -> std::path::PathBuf {
+fn dump_divergence(name: &str, serial: &str, parallel: &str, threads: usize) -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("par-divergence");
     let _ = std::fs::create_dir_all(&dir);
     let _ = std::fs::write(dir.join(format!("{name}.threads1")), serial);
-    let _ = std::fs::write(dir.join(format!("{name}.threads4")), parallel);
+    let _ = std::fs::write(dir.join(format!("{name}.threads{threads}")), parallel);
     dir
 }
 
 #[test]
 fn artifacts_identical_across_thread_counts() {
     // One test (not one per artifact): the override is process-global and
-    // the two passes must not interleave with each other.
+    // the passes must not interleave with each other.
     par::set_threads_override(Some(1));
     let (corpus_1, dataset_1, tables_1) = artifacts();
-    par::set_threads_override(Some(4));
-    let (corpus_4, dataset_4, tables_4) = artifacts();
-    par::set_threads_override(None);
+    for threads in [2, 4] {
+        par::set_threads_override(Some(threads));
+        let (corpus_n, dataset_n, tables_n) = artifacts();
+        par::set_threads_override(None);
 
-    assert_eq!(
-        corpus_1, corpus_4,
-        "chaos corpus FNV-1a fingerprints diverged between PAR_THREADS=1 and 4"
-    );
-    if dataset_1 != dataset_4 {
-        let dir = dump_divergence("dataset", &dataset_1, &dataset_4);
-        panic!(
-            "collected dataset diverged between PAR_THREADS=1 and 4; \
-             variants written to {}",
-            dir.display()
+        assert_eq!(
+            corpus_1, corpus_n,
+            "chaos corpus FNV-1a fingerprints diverged between PAR_THREADS=1 and {threads}"
         );
-    }
-    if tables_1 != tables_4 {
-        let dir = dump_divergence("tables", &tables_1, &tables_4);
-        panic!(
-            "table/figure JSON diverged between PAR_THREADS=1 and 4; \
-             variants written to {}",
-            dir.display()
-        );
+        if dataset_1 != dataset_n {
+            let dir = dump_divergence("dataset", &dataset_1, &dataset_n, threads);
+            panic!(
+                "collected dataset diverged between PAR_THREADS=1 and {threads}; \
+                 variants written to {}",
+                dir.display()
+            );
+        }
+        if tables_1 != tables_n {
+            let dir = dump_divergence("tables", &tables_1, &tables_n, threads);
+            panic!(
+                "table/figure JSON diverged between PAR_THREADS=1 and {threads}; \
+                 variants written to {}",
+                dir.display()
+            );
+        }
     }
 }

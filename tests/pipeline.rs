@@ -6,15 +6,18 @@ use std::sync::OnceLock;
 
 use ixp_actions::prelude::*;
 
+/// The world every test collects from.
+const WORLD: WorldConfig = WorldConfig {
+    seed: 0x1C0FFEE,
+    scale: 0.05,
+};
+
 /// The scenario is expensive to build; share one across all tests.
 fn scenario() -> &'static Scenario {
     static SCENARIO: OnceLock<Scenario> = OnceLock::new();
     SCENARIO.get_or_init(|| {
         ixp_sim::scenario::run(&ScenarioConfig {
-            world: WorldConfig {
-                seed: 0x1C0FFEE,
-                scale: 0.05,
-            },
+            world: WORLD,
             ixps: IxpId::BIG_FOUR.to_vec(),
             failures: FailureModel::NONE,
             day: 83,
@@ -232,7 +235,9 @@ fn fig4_skew_and_correlation() {
 #[test]
 fn snapshot_consistency_with_rs_ground_truth() {
     let scenario = scenario();
-    for (world, _) in &scenario.worlds {
+    for ixp in IxpId::BIG_FOUR {
+        // an independent build of the collected world, from the same seed
+        let world = ixp_sim::world::build_ixp(ixp, &WORLD);
         let snap = scenario.store.latest(world.ixp, Afi::Ipv4).unwrap();
         let rs_count = world
             .rs

@@ -4,11 +4,12 @@
 //! parent ID, span name and child slot, with par task indices mapped to
 //! disjoint slot ranges — so the span tree a seeded scenario produces
 //! must be byte-identical under any `PAR_THREADS`. This runs the same
-//! two-IXP collect→analyze pass as `tests/par_equivalence.rs` once on
-//! one thread and once on four, digests each trace with
-//! `obs::trace::tree_digest`, and compares the digests bytewise. On
-//! divergence both variants land in `target/trace-divergence/` so the
-//! failure is diffable rather than just red.
+//! two-IXP collect→analyze pass as `tests/par_equivalence.rs` on one,
+//! two and four pinned threads, digests each trace with
+//! `obs::trace::tree_digest`, and compares each digest bytewise with the
+//! serial one. On divergence both variants land in
+//! `target/trace-divergence/` so the failure is diffable rather than
+//! just red.
 
 use bgp_model::prefix::Afi;
 use community_dict::ixp::IxpId;
@@ -47,13 +48,13 @@ fn trace_digest() -> String {
 }
 
 /// Write both variants of a diverging digest and return the directory.
-fn dump_divergence(serial: &str, parallel: &str) -> std::path::PathBuf {
+fn dump_divergence(serial: &str, parallel: &str, threads: usize) -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("trace-divergence");
     let _ = std::fs::create_dir_all(&dir);
     let _ = std::fs::write(dir.join("digest.threads1"), serial);
-    let _ = std::fs::write(dir.join("digest.threads4"), parallel);
+    let _ = std::fs::write(dir.join(format!("digest.threads{threads}")), parallel);
     dir
 }
 
@@ -63,12 +64,9 @@ fn trace_tree_identical_across_thread_counts() {
     registry.enable_tracing();
 
     // One test: the thread override and the tracing flag are
-    // process-global, so the two passes must run back to back.
+    // process-global, so the passes must run back to back.
     par::set_threads_override(Some(1));
     let digest_1 = trace_digest();
-    par::set_threads_override(Some(4));
-    let digest_4 = trace_digest();
-    par::set_threads_override(None);
 
     // The trace actually covers the pipeline: scenario root, per-IXP
     // build/collect children, and the analysis report spans.
@@ -85,12 +83,17 @@ fn trace_tree_identical_across_thread_counts() {
         );
     }
 
-    if digest_1 != digest_4 {
-        let dir = dump_divergence(&digest_1, &digest_4);
-        panic!(
-            "trace tree diverged between PAR_THREADS=1 and 4; \
-             digests written to {}",
-            dir.display()
-        );
+    for threads in [2, 4] {
+        par::set_threads_override(Some(threads));
+        let digest_n = trace_digest();
+        par::set_threads_override(None);
+        if digest_1 != digest_n {
+            let dir = dump_divergence(&digest_1, &digest_n, threads);
+            panic!(
+                "trace tree diverged between PAR_THREADS=1 and {threads}; \
+                 digests written to {}",
+                dir.display()
+            );
+        }
     }
 }
