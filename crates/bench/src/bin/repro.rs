@@ -400,8 +400,8 @@ fn run_perf(args: &[String]) -> i32 {
 /// Pre-flight: statically verify every configured IXP's route-server
 /// config + dictionary with `staticheck` before building any world,
 /// then cross-check the dictionaries against each other (SC006), then
-/// scan the workspace sources (lints + dataflow, `--cache` by default
-/// so repeats are warm). The
+/// scan the workspace sources (lints + dataflow, through the `--cache`
+/// memo so repeats over an unchanged tree are hits). The
 /// repo allowlist (`staticheck.toml`) is honored, mirroring the CLI
 /// gate. `Ok(false)` means error-grade findings remain (staticheck
 /// exit 1); `Err` means the verification itself failed (staticheck
@@ -458,8 +458,10 @@ fn run_check(ixps: &[IxpId]) -> Result<bool, String> {
     ]);
 
     // Workspace scan (token lints + concurrency/determinism dataflow,
-    // SC101-SC112) through the incremental cache: a warm repeat costs
-    // milliseconds, so the pre-flight always includes it by default.
+    // SC101-SC112) through the whole-tree memo: a repeat over an
+    // unchanged tree, allowlist and mode reuses the stored findings in
+    // milliseconds, and any edit re-runs the full scan, so the
+    // pre-flight always includes it.
     let root = allow_path.parent().unwrap_or(std::path::Path::new("."));
     let cache_path = root.join("target/staticheck.cache");
     let args: Vec<String> = [

@@ -1,58 +1,38 @@
-//! The incremental analysis cache (`--cache target/staticheck.cache`).
+//! The whole-tree memo behind `--cache FILE`.
 //!
-//! Staticheck's cost is dominated by re-deriving findings for files
-//! that did not change. The cache stores, per workspace file, an
-//! FNV-1a fingerprint of the raw bytes plus the RAW (pre-allowlist)
-//! findings each engine produced for that file, and on the next run
-//! reuses everything whose inputs are provably unchanged:
+//! A run's raw (pre-allowlist) findings are a pure function of its
+//! inputs, so the memo stores them under one key and a run whose inputs
+//! all match reuses them instead of analysing again. The key is an
+//! FNV-1a over:
 //!
-//! * **file-local lints** (SC101–SC103, SC105, SC106) depend only on
-//!   the file's own bytes — reused whenever the fingerprint matches;
-//! * **per-file dataflow findings** (SC107/SC108/SC109/SC111/SC112)
-//!   anchor at a function and follow call chains downward, so a finding
-//!   in file *A* can only change when *A* changed or when something *A*
-//!   transitively calls changed. The re-scan set is therefore the
-//!   changed files plus their **reverse-callgraph cone** (every file
-//!   containing a function that can reach a changed file), computed on
-//!   the new graph. Name-resolution edges depend only on callee *names*
-//!   — so a `fields_fp` over every file's function names and
-//!   field/static tables guards the cone argument: when it changes
-//!   (a function or lock/field was added, removed, or renamed),
-//!   everything is treated as dirty;
-//! * **global passes** (SC104 registry, SC110 lock order) and the
-//!   policy engine (SC001–SC006, a pure function of the built-in
-//!   schemes) are reused only on a fully-unchanged tree, else
-//!   recomputed whole;
-//! * everything is keyed by a **salt** over [`CHECK_VERSION`], the
-//!   mode, the `--only` filter, and the allowlist content (SC108
-//!   consults SC101 waivers during analysis, so the allowlist is an
-//!   analysis input, not just a report filter). A salt mismatch
-//!   invalidates the whole document.
+//! * a **salt**: [`CHECK_VERSION`], the mode, the `--only` filter and
+//!   the allowlist content (SC108 consults SC101 waivers during
+//!   analysis, so the allowlist is an analysis input, not just a report
+//!   filter);
+//! * every analysed file's workspace-relative path and bytes;
+//! * `crates/obs/src/names.rs`, which SC104 reads from the root even
+//!   when `--only` leaves it out of the analysed set.
 //!
-//! Findings are cached *raw* and pushed through the allowlist at
-//! report-assembly time, exactly like a cold run — so a warm run is
+//! A hit returns the stored findings; a miss runs the cold pipeline and
+//! replaces the stored entry with its output. Findings go through the
+//! allowlist at report time exactly as on a cold run, so a warm run is
 //! byte-identical to a cold one (property-tested in
-//! `tests/cache_prop.rs`), and editing `staticheck.toml` can never
-//! resurrect stale waiver decisions from a cache file.
+//! `tests/cache_prop.rs`).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::allow::Allowlist;
-use crate::callgraph::{parse_file, CallGraph, FileSyms};
-use crate::dataflow;
 use crate::diag::Diagnostic;
-use crate::lints;
 
-/// Bumped whenever any check's behavior changes; salts every cache
-/// document so stale findings can never survive an analyzer upgrade.
-pub const CHECK_VERSION: &str = "staticheck-v8:SC001-SC112,closure-callgraph";
+/// Bumped whenever any check's behavior changes; salts every memo key
+/// so stale findings can never survive an analyzer upgrade.
+pub const CHECK_VERSION: &str = "staticheck-v9:SC001-SC112,token-lints,tree-memo";
 
-/// FNV-1a 64-bit.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64-bit hash `h` over `bytes`.
+fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -60,331 +40,64 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a as a hex string (JSON-safe: the vendored serde_json rounds
-/// large integers through f64).
-pub fn fnv_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a(bytes))
+/// FNV-1a 64-bit.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv_extend(FNV_OFFSET, bytes)
 }
 
-/// One file's cached state: fingerprint plus raw per-engine findings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FileEntry {
-    /// Workspace-relative path.
-    rel: String,
-    /// `fnv_hex` of the file bytes.
-    fp: String,
-    /// Raw file-local lint findings (SC101–SC103, SC105, SC106).
-    lint: Vec<Diagnostic>,
-    /// Raw per-file dataflow findings (SC107/108/109/111/112),
-    /// in emission order.
-    flow: Vec<Diagnostic>,
-}
-
-/// The on-disk cache document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheDoc {
-    /// Salt over check version, mode, `--only`, and allowlist content.
-    salt: String,
-    /// Fingerprint of every file's function names and field/static
-    /// tables — the inputs to cross-file name resolution.
-    fields_fp: String,
-    /// Policy findings (`None` when the cached run skipped policy).
-    policy: Option<Vec<Diagnostic>>,
-    /// SC104 registry findings.
-    global_lints: Vec<Diagnostic>,
-    /// SC110 lock-order findings (global: one finding pairs witness
-    /// sites in two arbitrary files).
-    global_flow: Vec<Diagnostic>,
-    /// Per-file entries, in sorted path order.
-    files: Vec<FileEntry>,
-}
-
-/// Cache-hit statistics for the stats line CI archives.
-#[derive(Debug, Clone, Default)]
-pub struct CacheStats {
-    /// Files whose lint findings were reused.
-    pub lint_hits: usize,
-    /// Files analyzed in total.
-    pub files: usize,
-    /// Was the policy bucket reused?
-    pub policy_reused: bool,
-    /// Files re-scanned by the dataflow engines (0 = fully reused).
-    pub flow_rescanned: usize,
-}
-
-impl CacheStats {
-    /// One line for stderr / the CI artifact.
-    pub fn render(&self) -> String {
-        format!(
-            "staticheck-cache: lint {}/{} files reused, policy {}, dataflow re-scanned {}/{} files",
-            self.lint_hits,
-            self.files,
-            if self.policy_reused {
-                "reused"
-            } else {
-                "computed"
-            },
-            self.flow_rescanned,
-            self.files,
-        )
-    }
-}
-
-/// The per-file dataflow checks, in cold-run emission order (the
-/// engines emit check-major, file-minor).
-const FLOW_CODES: [&str; 5] = ["SC107", "SC108", "SC109", "SC111", "SC112"];
-
-/// Everything that selects *what* a cached run analyzes. All of it is
-/// folded into the cache salt: a run with a different shape must never
-/// reuse another shape's entries.
-pub struct RunShape<'a> {
-    /// Workspace root the sources are gathered from.
-    pub root: &'a Path,
-    /// `--only` path-prefix filter, if any.
-    pub only: Option<&'a str>,
-    /// Whether the policy engine runs (mode `policy` or `all`).
-    pub run_policy: bool,
-    /// Whether the lint + dataflow engines run (mode `lints` or `all`).
-    pub run_lints: bool,
-    /// Fingerprint of the active allowlist (SC108 consults SC101
-    /// waivers during analysis, so waiver edits must invalidate).
-    pub allow_salt: &'a str,
-}
-
-/// Run the lint + dataflow engines (and optionally policy via
-/// `policy_fn`) with the cache at `path`. Returns raw findings in
-/// exactly the order the uncached pipeline emits them, plus hit stats.
-pub fn analyze(
-    shape: &RunShape<'_>,
-    allow: &Allowlist,
-    path: &Path,
-    policy_fn: impl FnOnce() -> Vec<Diagnostic>,
-) -> (Vec<Diagnostic>, CacheStats) {
-    let RunShape {
-        root,
-        only,
-        run_policy,
-        run_lints,
-        allow_salt,
-    } = *shape;
-    let salt = fnv_hex(
-        format!(
-            "{CHECK_VERSION}|mode={}{}|only={}|allow={allow_salt}",
-            run_policy,
-            run_lints,
-            only.unwrap_or("")
-        )
-        .as_bytes(),
-    );
-    let old = load(path).filter(|doc| doc.salt == salt);
-
-    // workspace sources, same set and order as the uncached pipeline
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for file in lints::workspace_sources(root) {
-        let Ok(text) = std::fs::read_to_string(&file) else {
-            continue;
-        };
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if only.is_some_and(|p| !rel.starts_with(p)) {
-            continue;
-        }
-        sources.push((rel, text));
-    }
-    let fps: Vec<String> = sources
-        .iter()
-        .map(|(_, text)| fnv_hex(text.as_bytes()))
-        .collect();
-    let old_by_rel: BTreeMap<&str, &FileEntry> = old
-        .iter()
-        .flat_map(|doc| doc.files.iter())
-        .map(|e| (e.rel.as_str(), e))
-        .collect();
-    let unchanged = |i: usize| -> bool {
-        old_by_rel
-            .get(sources[i].0.as_str())
-            .is_some_and(|e| e.fp == fps[i])
-    };
-    // identical file *set* too: a removed file can carry away findings
-    let same_tree = old
-        .as_ref()
-        .is_some_and(|doc| doc.files.len() == sources.len())
-        && (0..sources.len()).all(unchanged);
-
-    let mut stats = CacheStats {
-        files: sources.len(),
-        ..CacheStats::default()
-    };
-    let mut findings = Vec::new();
-
-    // --- policy (pure function of the built-in schemes + salt) ---
-    let policy = if run_policy {
-        let cached = old.as_ref().and_then(|doc| doc.policy.clone());
-        let out = match cached {
-            Some(p) => {
-                stats.policy_reused = true;
-                p
-            }
-            None => policy_fn(),
-        };
-        findings.extend(out.iter().cloned());
-        Some(out)
-    } else {
-        None
-    };
-
-    let mut entries: Vec<FileEntry> = Vec::with_capacity(sources.len());
-    let mut global_lints = Vec::new();
-    let mut global_flow = Vec::new();
-    let mut fields_fp = old
-        .as_ref()
-        .map(|doc| doc.fields_fp.clone())
-        .unwrap_or_default();
-
-    if run_lints {
-        // --- file-local lints ---
-        for (i, (rel, text)) in sources.iter().enumerate() {
-            let lint = if unchanged(i) {
-                stats.lint_hits += 1;
-                old_by_rel[rel.as_str()].lint.clone()
-            } else {
-                let mut out = Vec::new();
-                lints::lint_file(rel, text, &mut out);
-                out
-            };
-            findings.extend(lint.iter().cloned());
-            entries.push(FileEntry {
-                rel: rel.clone(),
-                fp: fps[i].clone(),
-                lint,
-                flow: Vec::new(),
-            });
-        }
-
-        // --- SC104: reused only on a fully-unchanged tree (the registry
-        // file is only fp-tracked when the --only filter includes it) ---
-        if same_tree && only.is_none() {
-            global_lints = old
-                .as_ref()
-                .map(|doc| doc.global_lints.clone())
-                .unwrap_or_default();
-        } else {
-            lints::check_names_registry(root, &mut global_lints);
-        }
-        findings.extend(global_lints.iter().cloned());
-
-        // --- dataflow: per-file buckets + the global SC110 pass ---
-        if same_tree {
-            for e in entries.iter_mut() {
-                e.flow = old_by_rel[e.rel.as_str()].flow.clone();
-            }
-            global_flow = old
-                .as_ref()
-                .map(|doc| doc.global_flow.clone())
-                .unwrap_or_default();
-        } else {
-            // parse once to fingerprint the resolution interface and
-            // compute the re-scan cone
-            let parsed: Vec<FileSyms> = sources
+/// The memo key of one run: `salt`, then every `(rel, text)` source,
+/// then the bytes of the registry at `root` (absent reads as empty).
+/// Each part is length-prefixed, so no two input sets hash one stream.
+/// Hex, because the vendored serde_json rounds large integers through
+/// f64.
+pub(crate) fn key(salt: &str, sources: &[(String, String)], root: &Path) -> String {
+    let names = std::fs::read(root.join("crates/obs/src/names.rs")).unwrap_or_default();
+    let parts = std::iter::once(salt.as_bytes())
+        .chain(
+            sources
                 .iter()
-                .map(|(rel, text)| parse_file(rel, text))
-                .collect();
-            let mut iface = String::new();
-            for f in &parsed {
-                iface.push_str(&f.rel);
-                for d in &f.fns {
-                    if !d.is_closure {
-                        iface.push_str(&d.name);
-                        iface.push('|');
-                    }
-                }
-                iface.push_str(&format!(
-                    ";{:?};{:?};{:?}\n",
-                    f.im_fields, f.im_statics, f.hash_fields
-                ));
-            }
-            fields_fp = fnv_hex(iface.as_bytes());
-            let iface_same = old.as_ref().is_some_and(|doc| doc.fields_fp == fields_fp);
+                .flat_map(|(rel, text)| [rel.as_bytes(), text.as_bytes()]),
+        )
+        .chain(std::iter::once(names.as_slice()));
+    let h = parts.fold(FNV_OFFSET, |h, part| {
+        fnv_extend(fnv_extend(h, &(part.len() as u64).to_le_bytes()), part)
+    });
+    format!("{h:016x}")
+}
 
-            let changed: BTreeSet<usize> = (0..sources.len()).filter(|&i| !unchanged(i)).collect();
-            let dirty: BTreeSet<usize> = if iface_same {
-                let graph = CallGraph::build(parsed);
-                let next = graph.reach(|n| changed.contains(&graph.nodes[n].file));
-                let mut cone = changed.clone();
-                for (n, hop) in next.iter().enumerate() {
-                    if hop.is_some() {
-                        cone.insert(graph.nodes[n].file);
-                    }
-                }
-                cone
-            } else {
-                (0..sources.len()).collect()
-            };
-            stats.flow_rescanned = dirty.len();
+/// The on-disk memo: one key and the raw findings it produced.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Memo {
+    key: String,
+    findings: Vec<Diagnostic>,
+}
 
-            let fresh = dataflow::analyze_sources_filtered(&sources, allow, Some(&dirty));
-            let mut fresh_by_rel: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
-            for d in fresh {
-                if d.code == "SC110" {
-                    global_flow.push(d);
-                } else {
-                    let rel = d
-                        .location
-                        .rsplit_once(':')
-                        .map(|(r, _)| r.to_string())
-                        .unwrap_or_else(|| d.location.clone());
-                    fresh_by_rel.entry(rel).or_default().push(d);
-                }
-            }
-            for (i, e) in entries.iter_mut().enumerate() {
-                e.flow = if dirty.contains(&i) {
-                    fresh_by_rel.remove(e.rel.as_str()).unwrap_or_default()
-                } else {
-                    old_by_rel[e.rel.as_str()].flow.clone()
-                };
-            }
-        }
-
-        // emission order matches the uncached engines: check-major,
-        // file-minor, with the global SC110 pass after SC109
-        for code in FLOW_CODES {
-            if code == "SC111" {
-                findings.extend(global_flow.iter().cloned());
-            }
-            for e in &entries {
-                findings.extend(e.flow.iter().filter(|d| d.code == code).cloned());
-            }
-        }
+/// The findings stored at `path` under `key`, or `run`'s output, which
+/// then replaces the stored entry. The flag says whether it was a hit.
+pub(crate) fn memo(
+    path: &Path,
+    key: &str,
+    run: impl FnOnce() -> Result<Vec<Diagnostic>, String>,
+) -> Result<(Vec<Diagnostic>, bool), String> {
+    let stored = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<Memo>(&text).ok());
+    if let Some(m) = stored.filter(|m| m.key == key) {
+        return Ok((m.findings, true));
     }
-
-    let doc = CacheDoc {
-        salt,
-        fields_fp,
-        policy,
-        global_lints,
-        global_flow,
-        files: entries,
+    let findings = run()?;
+    let m = Memo {
+        key: key.to_string(),
+        findings,
     };
-    store(path, &doc);
-    (findings, stats)
-}
-
-fn load(path: &Path) -> Option<CacheDoc> {
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-fn store(path: &Path, doc: &CacheDoc) {
-    // best effort: an unwritable cache degrades to cold runs
+    // best effort: an unwritable memo degrades to cold runs
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    if let Ok(text) = serde_json::to_string(doc) {
+    if let Ok(text) = serde_json::to_string(&m) {
         let _ = std::fs::write(path, text);
     }
+    Ok((m.findings, false))
 }
 
 #[cfg(test)]
@@ -397,39 +110,35 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-        assert_eq!(fnv_hex(b"foobar"), "85944171f73967e8");
     }
 
     #[test]
-    fn doc_round_trips_through_json() {
-        let doc = CacheDoc {
-            salt: "s".into(),
-            fields_fp: "f".into(),
-            policy: Some(vec![Diagnostic::new(
-                "SC004",
-                crate::diag::Severity::Warning,
-                "dict(AmsIx)",
-                "m",
-            )]),
-            global_lints: vec![],
-            global_flow: vec![Diagnostic::new(
-                "SC110",
-                crate::diag::Severity::Error,
-                "crates/x/src/lib.rs:3",
-                "inverted",
-            )],
-            files: vec![FileEntry {
-                rel: "crates/x/src/lib.rs".into(),
-                fp: "00ff".into(),
-                lint: vec![],
-                flow: vec![],
-            }],
-        };
-        let text = serde_json::to_string(&doc).expect("serialize");
-        let back: CacheDoc = serde_json::from_str(&text).expect("parse");
-        assert_eq!(back.salt, "s");
-        assert_eq!(back.policy.as_ref().map(|p| p.len()), Some(1));
-        assert_eq!(back.global_flow[0].code, "SC110");
-        assert_eq!(back.files[0].rel, "crates/x/src/lib.rs");
+    fn key_separates_paths_from_contents() {
+        let root = Path::new("/nonexistent");
+        let src = |rel: &str, text: &str| vec![(rel.to_string(), text.to_string())];
+        let a = key("s", &src("crates/x/src/ab.rs", "c"), root);
+        assert_eq!(a, key("s", &src("crates/x/src/ab.rs", "c"), root));
+        assert_ne!(a, key("s", &src("crates/x/src/a.rs", "bc"), root));
+        assert_ne!(a, key("t", &src("crates/x/src/ab.rs", "c"), root));
+    }
+
+    #[test]
+    fn memo_hits_only_on_its_key() {
+        let path = std::env::temp_dir().join(format!("staticheck-memo-{}", std::process::id()));
+        let finding = Diagnostic::new(
+            "SC110",
+            crate::diag::Severity::Error,
+            "crates/x/src/lib.rs:3",
+            "inverted",
+        );
+        let cold = || Ok(vec![finding.clone()]);
+        let (first, hit) = memo(&path, "k1", cold).expect("cold run");
+        assert!(!hit);
+        let (again, hit) = memo(&path, "k1", || Err("must not run".into())).expect("hit");
+        assert!(hit);
+        assert_eq!(first, again);
+        let (_, hit) = memo(&path, "k2", || Ok(Vec::new())).expect("miss");
+        assert!(!hit);
+        std::fs::remove_file(&path).ok();
     }
 }

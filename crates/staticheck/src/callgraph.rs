@@ -45,7 +45,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,9 +212,9 @@ const EDGE_STOPLIST: [&str; 58] = [
     "with_capacity",
 ];
 
-/// Parse one file into its symbol table.
-pub fn parse_file(rel: &str, src: &str) -> FileSyms {
-    let toks = lex(src);
+/// Parse one file's token stream ([`crate::lexer::lex`]) into its
+/// symbol table.
+pub fn parse_file(rel: &str, toks: Vec<Tok>) -> FileSyms {
     let mut syms = FileSyms {
         rel: rel.to_string(),
         toks,
@@ -1219,9 +1219,14 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+
+    fn parse_at(rel: &str, src: &str) -> FileSyms {
+        parse_file(rel, lex(src))
+    }
 
     fn parse(src: &str) -> FileSyms {
-        parse_file("crates/demo/src/lib.rs", src)
+        parse_at("crates/demo/src/lib.rs", src)
     }
 
     #[test]
@@ -1301,11 +1306,11 @@ mod tests {
     #[test]
     fn reachability_and_chains() {
         let files = vec![
-            parse_file(
+            parse_at(
                 "crates/demo/src/lib.rs",
                 "pub fn api() { middle(); }\nfn middle() { deep(); }\n",
             ),
-            parse_file(
+            parse_at(
                 "crates/demo/src/deep.rs",
                 "pub fn deep() { other(); }\nfn other() {}\nfn unrelated() {}\n",
             ),
@@ -1322,7 +1327,7 @@ mod tests {
 
     #[test]
     fn stoplisted_names_make_no_edges() {
-        let g = CallGraph::build(vec![parse_file(
+        let g = CallGraph::build(vec![parse_at(
             "crates/demo/src/lib.rs",
             "pub fn insert() {}\nfn f(v: &mut Vec<u32>) { v.insert(0, 1); }\n",
         )]);
@@ -1402,7 +1407,7 @@ mod tests {
 
     #[test]
     fn closure_panics_and_edges_flow_through_the_graph() {
-        let g = CallGraph::build(vec![parse_file(
+        let g = CallGraph::build(vec![parse_at(
             "crates/demo/src/lib.rs",
             "pub fn api() { par_run(|| deep()); }\n\
              fn par_run(f: u32) {}\n\

@@ -5,15 +5,15 @@
 //! staticheck [policy|lints|all] [--format text|json|sarif] [--json]
 //!            [--warnings] [--root DIR] [--only PREFIX]
 //!            [--fixture FILE.json] [--allowlist FILE.toml]
-//!            [--no-allowlist]
+//!            [--no-allowlist] [--cache FILE]
 //! ```
 //!
 //! Default mode is `all`. Without a fixture, `policy` verifies every
 //! built-in IXP scheme (members unknown, so SC003 is skipped — the
 //! per-scenario member set is checked by the `repro check` pre-flight)
 //! and cross-checks the eight dictionaries against each other (SC006).
-//! `lints` runs both the token-level linter (SC101–SC106) and the
-//! dataflow pass (SC107/SC108).
+//! `lints` runs the token lints (SC101–SC106) and the call-graph checks
+//! (SC107–SC112) over one lexing of each workspace file.
 //!
 //! Exit codes: 0 = clean, 1 = non-allowlisted error-grade findings
 //! remain, 2 = internal/IO error (the analysis did not complete).
@@ -32,7 +32,7 @@ use route_server::rules::ImportRule;
 
 use crate::allow::Allowlist;
 use crate::diag::{Diagnostic, Report};
-use crate::{cache, dataflow, diag, lints, policy, sarif};
+use crate::{cache, callgraph, dataflow, diag, lexer, lints, policy, sarif};
 
 /// A self-contained policy-verification scenario, loadable from JSON.
 /// Used by the seeded-violation fixtures under `tests/fixtures/`.
@@ -189,7 +189,7 @@ usage: staticheck [policy|lints|all] [options]
 
 modes:
   policy           verify IXP schemes / a --fixture (SC001-SC006)
-  lints            workspace lints + dataflow (SC101-SC108)
+  lints            workspace lints + dataflow (SC101-SC112)
   all              both (default)
 
 options:
@@ -203,10 +203,11 @@ options:
   --fixture F.json verify a self-contained policy scenario
   --allowlist F    allowlist file (default: <root>/staticheck.toml)
   --no-allowlist   ignore the allowlist entirely
-  --cache FILE     incremental cache (e.g. target/staticheck.cache):
-                   unchanged files reuse cached findings, changed files
-                   re-analyze with their reverse-callgraph cone; warm
-                   output is byte-identical to a cold run
+  --cache FILE     memo file (e.g. target/staticheck.cache): a run
+                   over a tree, mode, --only and allowlist identical to
+                   the stored run reuses its findings, any change
+                   re-analyzes everything; output is byte-identical
+                   to a run without --cache
   --explain SCxxx  print the catalog entry for a diagnostic code
                    (rationale + waiver policy) and exit; unknown codes
                    exit 2
@@ -279,9 +280,90 @@ pub struct OutputOpts {
     pub format: Format,
     /// Include warning-severity findings in text output.
     pub warnings: bool,
-    /// Cache-hit statistics for stderr / the CI artifact, when the run
-    /// used `--cache`.
+    /// The memo's `staticheck-cache: hit|miss (N files)` line for
+    /// stderr / the CI artifact, when the run used `--cache`.
     pub cache_stats: Option<String>,
+}
+
+/// Every library source under `crates/*/src/` and the root `src/`
+/// whose workspace-relative path starts with `only` (when given), as
+/// sorted `(rel, text)` pairs: the one read of the tree that both the
+/// memo key and the engines consume.
+pub(crate) fn load_sources(root: &Path, only: Option<&str>) -> Vec<(String, String)> {
+    fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                collect_rs(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
+        for entry in crates.flatten() {
+            collect_rs(&entry.path().join("src"), &mut files);
+        }
+    }
+    collect_rs(&root.join("src"), &mut files);
+    files.sort();
+    files
+        .into_iter()
+        .filter_map(|file| {
+            let rel = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .to_string_lossy()
+                .replace('\\', "/");
+            if only.is_some_and(|p| !rel.starts_with(p)) {
+                return None;
+            }
+            let text = std::fs::read_to_string(&file).ok()?;
+            Some((rel, text))
+        })
+        .collect()
+}
+
+/// The cold pipeline: policy (a fixture or the built-in schemes), then
+/// each source lexed once for both its token lints and its call-graph
+/// symbols, then the SC104 registry check and the graph checks.
+/// Returns raw findings; the allowlist applies at report time.
+fn analyze(
+    opts: &Options,
+    allow: &Allowlist,
+    sources: &[(String, String)],
+) -> Result<Vec<Diagnostic>, String> {
+    let mut out = Vec::new();
+    if opts.mode != Mode::Lints {
+        match &opts.fixture {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read fixture {}: {e}", path.display()))?;
+                let fixture: Fixture = serde_json::from_str(&text)
+                    .map_err(|e| format!("bad fixture {}: {e}", path.display()))?;
+                out.extend(fixture.verify());
+            }
+            None => out.extend(verify_builtin_schemes()),
+        }
+    }
+    if opts.mode != Mode::Policy {
+        let mut files = Vec::with_capacity(sources.len());
+        for (rel, text) in sources {
+            let toks = lexer::lex(text);
+            lints::lint_file(rel, &toks, &mut out);
+            files.push(callgraph::parse_file(rel, toks));
+        }
+        lints::check_names_registry(&opts.root, &mut out);
+        out.extend(dataflow::analyze_graph(
+            &callgraph::CallGraph::build(files),
+            allow,
+        ));
+    }
+    Ok(out)
 }
 
 /// The testable core of [`run`]: everything but printing and exiting.
@@ -300,46 +382,35 @@ pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
         Allowlist::load(&path).map_err(|e| e.to_string())?
     };
 
-    let mut findings = Vec::new();
-    let mut cache_stats = None;
-    if let (Some(cache_path), None) = (&opts.cache, &opts.fixture) {
-        // the cached pipeline covers policy + lints + dataflow in one
-        // pass; fixtures bypass it (their inputs live outside the tree)
-        let allow_salt = if opts.no_allowlist {
-            "no-allowlist".to_string()
-        } else {
-            cache::fnv_hex(format!("{:?}", allowlist.entries).as_bytes())
-        };
-        let shape = cache::RunShape {
-            root: &opts.root,
-            only: opts.only.as_deref(),
-            run_policy: opts.mode != Mode::Lints,
-            run_lints: opts.mode != Mode::Policy,
-            allow_salt: &allow_salt,
-        };
-        let (cached, stats) =
-            cache::analyze(&shape, &allowlist, cache_path, verify_builtin_schemes);
-        findings = cached;
-        cache_stats = Some(stats.render());
+    // policy-only runs read no sources
+    let sources = if opts.mode == Mode::Policy {
+        Vec::new()
     } else {
-        if opts.mode != Mode::Lints {
-            match &opts.fixture {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read fixture {}: {e}", path.display()))?;
-                    let fixture: Fixture = serde_json::from_str(&text)
-                        .map_err(|e| format!("bad fixture {}: {e}", path.display()))?;
-                    findings.extend(fixture.verify());
-                }
-                None => findings.extend(verify_builtin_schemes()),
-            }
+        load_sources(&opts.root, opts.only.as_deref())
+    };
+    let cold = || analyze(&opts, &allowlist, &sources);
+    let (findings, cache_stats) = match (&opts.cache, &opts.fixture) {
+        // fixtures bypass the memo: their inputs live outside the tree
+        (Some(path), None) => {
+            // `--no-allowlist` and a missing file are both no entries
+            let salt = format!(
+                "{}|mode={:?}|only={}|allow={:?}",
+                cache::CHECK_VERSION,
+                opts.mode,
+                opts.only.as_deref().unwrap_or(""),
+                allowlist.entries
+            );
+            let key = cache::key(&salt, &sources, &opts.root);
+            let (findings, hit) = cache::memo(path, &key, cold)?;
+            let stats = format!(
+                "staticheck-cache: {} ({} files)",
+                if hit { "hit" } else { "miss" },
+                sources.len()
+            );
+            (findings, Some(stats))
         }
-        if opts.mode != Mode::Policy {
-            let only = opts.only.as_deref();
-            findings.extend(lints::lint_workspace(&opts.root, only));
-            findings.extend(dataflow::analyze(&opts.root, &allowlist, only));
-        }
-    }
+        _ => (cold()?, None),
+    };
 
     let mut report = Report::default();
     for d in findings {

@@ -64,13 +64,20 @@
 //!
 //! # Engine 2: the workspace linter ([`lints`])
 //!
-//! A token-level scanner (no `syn`; the container is offline) over
+//! Token-sequence rules over the [`lexer`] stream of
 //! `crates/*/src/**.rs` enforcing: SC101 no panicking constructs in
 //! library code, SC102 no raw clock reads outside `obs`, SC103 every
 //! minted metric/span name comes from the `obs::names` registry, SC104
 //! the registry itself is consistent, SC105 no raw thread creation
 //! outside the `par` pool (and the looking-glass TCP transport), SC106
 //! no trace-context plumbing outside its sanctioned crates.
+//!
+//! Engines 2 and 3 share one pass behind [`cli::run_captured`]: each
+//! file is read and lexed once, and the same tokens feed the lints and
+//! the call-graph parser.
+//! `--cache FILE` memoises that whole pass ([`cache`]): a run over an
+//! unchanged tree, mode, `--only` filter and allowlist reuses the
+//! stored findings, and any change re-runs everything.
 //!
 //! # Engine 3: the dataflow pass ([`dataflow`])
 //!

@@ -1,14 +1,14 @@
 //! Engine 2: the workspace invariant linter.
 //!
-//! A deliberately lightweight line/token-level scanner over
-//! `crates/*/src/**.rs` (plus the root crate's `src/`). No `syn`, no
-//! network, no proc-macro expansion — the container is offline and the
-//! invariants below are all visible at the token level once comments
-//! and string contents are blanked out:
+//! Token-sequence rules over the [`crate::lexer`] stream of every
+//! `crates/*/src/**.rs` file (plus the root crate's `src/`), the same
+//! stream [`crate::callgraph::parse_file`] consumes. Comments are gone
+//! and string contents are opaque literal tokens, so a needle inside
+//! either can never match:
 //!
 //! * **SC101** — no `.unwrap()` / `.expect(` / `panic!` / `todo!` /
 //!   `unimplemented!` in non-test library code (`src/bin/` and
-//!   `#[cfg(test)]` regions are exempt);
+//!   `#[cfg(test)]` items are exempt);
 //! * **SC102** — no `SystemTime::now` / `Instant::now` outside the
 //!   `obs` crate (all clocks flow through instrumentation);
 //! * **SC103** — no string-literal metric or span names outside `obs`:
@@ -31,74 +31,73 @@
 //! and the registry check extends to dynamic families like
 //! `par.task_ns/<site>` because those join existing registered names.
 //!
-//! The scanner first *cleans* each file: comment bodies and string
-//! contents are replaced by spaces (quotes are kept so SC103 can still
-//! see that a literal was passed), and `#[cfg(test)]` item bodies are
-//! skipped via brace-depth tracking. This keeps every check a plain
-//! substring scan on the cleaned text.
+//! A rule reports at most once per source line, however often its
+//! needle occurs there (two `.unwrap()` calls on one line are one
+//! SC101). SC104 parses the registry's own text: it is the one file
+//! where literal names are allowed.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 
 use crate::diag::{Diagnostic, Severity};
+use crate::lexer::{lex, Tok, TokKind};
 
-/// Run every workspace lint rooted at the repository root. `only`
-/// restricts scanning to files whose workspace-relative path starts
-/// with it (the `--only` self-lint filter); the SC104 registry check
-/// still runs against the full root.
-pub fn lint_workspace(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let files = workspace_sources(root);
-    for file in &files {
-        let Ok(text) = std::fs::read_to_string(file) else {
-            continue;
-        };
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if only.is_some_and(|p| !rel.starts_with(p)) {
-            continue;
-        }
-        lint_file(&rel, &text, &mut out);
-    }
-    check_names_registry(root, &mut out);
-    out
+/// `(code, needle, name)`: a rule fires where the tokens of `needle`
+/// occur in sequence, and its message names `name`. Listed in report
+/// order: findings on one line come out in this order.
+const RULES: [(&str, &str, &str); 18] = [
+    ("SC101", ".unwrap()", "unwrap"),
+    ("SC101", ".expect(", "expect"),
+    ("SC101", "panic!(", "panic!"),
+    ("SC101", "todo!(", "todo!"),
+    ("SC101", "unimplemented!(", "unimplemented!"),
+    ("SC102", "SystemTime::now", "SystemTime::now"),
+    ("SC102", "Instant::now", "Instant::now"),
+    // SC103 also needs a plain string literal right after the needle
+    ("SC103", ".counter(", "counter"),
+    ("SC103", ".gauge(", "gauge"),
+    ("SC103", ".histogram(", "histogram"),
+    ("SC103", ".span(", "span"),
+    ("SC103", "span!(", "span!"),
+    ("SC105", "thread::spawn(", "thread::spawn("),
+    ("SC105", "thread::scope(", "thread::scope("),
+    ("SC105", "thread::Builder", "thread::Builder"),
+    ("SC106", "trace::capture(", "trace::capture("),
+    ("SC106", "trace::attach_task(", "trace::attach_task("),
+    ("SC106", "trace::adopt_wire(", "trace::adopt_wire("),
+];
+
+/// Does `needle` occur in `toks` at `i`?
+fn matches_at(toks: &[Tok], i: usize, needle: &[Tok]) -> bool {
+    toks.len() >= i + needle.len()
+        && needle
+            .iter()
+            .zip(&toks[i..])
+            .all(|(n, t)| n.kind == t.kind && n.text == t.text)
 }
 
-/// All library sources under `crates/*/src/` and the root `src/`,
-/// sorted for deterministic reports (shared with [`crate::dataflow`]).
-pub(crate) fn workspace_sources(root: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
-        for entry in crates.flatten() {
-            collect_rs(&entry.path().join("src"), &mut files);
+/// Index just past the item starting at `i`, right after a
+/// `#[cfg(test)]`: through the `}` closing its first brace, or its `;`
+/// when none opens first.
+fn skip_test_item(toks: &[Tok], i: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(i) {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth -= 1;
+            if depth <= 0 {
+                return j + 1;
+            }
+        } else if depth == 0 && t.is_punct(';') {
+            return j + 1;
         }
     }
-    collect_rs(&root.join("src"), &mut files);
-    files.sort();
-    files
+    toks.len()
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Lint one cleaned file (shared with [`crate::cache`], which calls it
-/// per changed file and reuses cached findings for the rest).
-pub(crate) fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
-    let cleaned = clean_source(text);
+/// Lint one file's token stream ([`crate::lexer::lex`]).
+pub(crate) fn lint_file(rel: &str, toks: &[Tok], out: &mut Vec<Diagnostic>) {
     let in_obs = rel.starts_with("crates/obs/");
     let in_bin = rel.contains("/src/bin/");
     // The only sanctioned thread-creation sites: the deterministic pool
@@ -106,168 +105,84 @@ pub(crate) fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
     // serving is I/O concurrency, not data parallelism).
     let may_spawn =
         rel.starts_with("crates/par/") || rel == "crates/looking-glass/src/transport.rs";
-
-    let mut depth: i32 = 0;
-    let mut skip_above: Option<i32> = None; // inside #[cfg(test)] body
-    let mut pending_test = false;
-
-    for (i, line) in cleaned.lines().enumerate() {
-        let lineno = i + 1;
-        let lintable = skip_above.is_none() && !pending_test;
-        if line.contains("#[cfg(test)]") {
-            pending_test = true;
-        }
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if pending_test && skip_above.is_none() {
-                        skip_above = Some(depth);
-                        pending_test = false;
-                    }
-                }
-                '}' => {
-                    if skip_above == Some(depth) {
-                        skip_above = None;
-                    }
-                    depth -= 1;
-                }
-                ';' if pending_test && skip_above.is_none() => {
-                    // `#[cfg(test)] mod tests;` — body lives elsewhere
-                    pending_test = false;
-                }
-                _ => {}
-            }
-        }
-        if !lintable {
-            continue;
-        }
-        if !in_bin {
-            check_panic_free(rel, lineno, line, out);
-        }
-        if !in_obs {
-            check_clock_free(rel, lineno, line, out);
-            check_metric_names(rel, lineno, line, out);
-        }
-        if !may_spawn {
-            check_thread_free(rel, lineno, line, out);
-        }
-        if !may_spawn && !in_obs {
-            check_trace_context(rel, lineno, line, out);
+    // the rules this file is subject to, lexed, and the first bytes
+    // their needles start with: most tokens are rejected by one lookup
+    let rules: Vec<(usize, Vec<Tok>)> = RULES
+        .iter()
+        .enumerate()
+        .filter(|(_, (code, _, _))| match *code {
+            "SC101" => !in_bin,
+            "SC102" | "SC103" => !in_obs,
+            "SC105" => !may_spawn,
+            _ => !may_spawn && !in_obs,
+        })
+        .map(|(k, (_, needle, _))| (k, lex(needle)))
+        .collect();
+    let mut starts = [false; 256];
+    for (_, needle) in &rules {
+        if let Some(b) = needle.first().and_then(|t| t.text.bytes().next()) {
+            starts[b as usize] = true;
         }
     }
-}
+    let cfg_test = lex("#[cfg(test)]");
 
-/// SC101: panicking constructs in library code.
-fn check_panic_free(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    // needles are split so staticheck's own source does not trip them
-    const NEEDLES: [(&str, &str); 5] = [
-        (".unwrap()", "unwrap"),
-        (".expect(", "expect"),
-        ("panic!(", "panic!"),
-        ("todo!(", "todo!"),
-        ("unimplemented!(", "unimplemented!"),
-    ];
-    for (needle, what) in NEEDLES {
-        if let Some(col) = line.find(needle) {
-            // `core::panic!` etc. still match; `#[should_panic(` must not
-            if what == "panic!" && line[..col].ends_with("should_") {
+    // (line, rule): one finding per rule and line
+    let mut hits: BTreeSet<(u32, usize)> = BTreeSet::new();
+    let mut i = 0;
+    while let Some(t) = toks.get(i) {
+        if t.is_punct('#') && matches_at(toks, i, &cfg_test) {
+            i = skip_test_item(toks, i + cfg_test.len());
+            continue;
+        }
+        if !t.text.bytes().next().is_some_and(|b| starts[b as usize]) {
+            i += 1;
+            continue;
+        }
+        for (k, needle) in &rules {
+            if !matches_at(toks, i, needle) {
                 continue;
             }
-            out.push(Diagnostic::new(
-                "SC101",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "`{what}` in library code: propagate the error or add an \
-                     allowlist entry with a reason"
-                ),
-            ));
+            // SC103: a literal right after the call means a name was
+            // minted in place instead of taken from `obs::names`
+            let literal_arg = || {
+                toks.get(i + needle.len())
+                    .is_some_and(|t| t.kind == TokKind::Str && t.text.starts_with('"'))
+            };
+            if RULES[*k].0 != "SC103" || literal_arg() {
+                hits.insert((t.line, *k));
+            }
         }
+        i += 1;
     }
-}
-
-/// SC102: raw clock reads outside `obs`.
-fn check_clock_free(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    for needle in ["SystemTime::now", "Instant::now"] {
-        if line.contains(needle) {
-            out.push(Diagnostic::new(
-                "SC102",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!("`{needle}` outside the obs crate: time must flow through instrumentation"),
-            ));
-        }
-    }
-}
-
-/// SC105: raw thread creation outside the `par` pool (and the LG TCP
-/// transport). Ad-hoc threads bypass the ordered-join determinism
-/// argument and the pool's telemetry.
-fn check_thread_free(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    for needle in ["thread::spawn(", "thread::scope(", "thread::Builder"] {
-        if line.contains(needle) {
-            out.push(Diagnostic::new(
-                "SC105",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "`{needle}` outside crates/par: route data parallelism \
-                     through par::map_indexed so joins stay ordered"
-                ),
-            ));
-        }
-    }
-}
-
-/// SC106: trace-context plumbing outside `obs`, the `par` pool and the
-/// LG transport. `obs::span!` inside a task body already parents to the
-/// submitting span via the context the pool attached; calling the
-/// attachment API directly would graft spans onto the wrong parent and
-/// break the byte-identical trace-tree oracle.
-fn check_trace_context(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    for needle in [
-        "trace::capture(",
-        "trace::attach_task(",
-        "trace::adopt_wire(",
-    ] {
-        if line.contains(needle) {
-            out.push(Diagnostic::new(
-                "SC106",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "`{needle}` outside the trace plumbing: open spans with \
-                     obs::span! and let par/looking-glass carry the context"
-                ),
-            ));
-        }
-    }
-}
-
-/// SC103: string-literal metric/span names outside `obs`.
-fn check_metric_names(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    const MINTS: [&str; 5] = [".counter(", ".gauge(", ".histogram(", ".span(", "span!("];
-    for mint in MINTS {
-        let Some(pos) = line.find(mint) else {
-            continue;
+    for (line, k) in hits {
+        let (code, _, name) = RULES[k];
+        let message = match code {
+            "SC101" => format!(
+                "`{name}` in library code: propagate the error or add an \
+                 allowlist entry with a reason"
+            ),
+            "SC102" => {
+                format!("`{name}` outside the obs crate: time must flow through instrumentation")
+            }
+            "SC103" => format!(
+                "string-literal metric name passed to `{name}`: use a \
+                 constant from obs::names"
+            ),
+            "SC105" => format!(
+                "`{name}` outside crates/par: route data parallelism \
+                 through par::map_indexed so joins stay ordered"
+            ),
+            _ => format!(
+                "`{name}` outside the trace plumbing: open spans with \
+                 obs::span! and let par/looking-glass carry the context"
+            ),
         };
-        // a quote right after the call site means a literal name was
-        // passed instead of an `obs::names` constant
-        let rest = &line[pos + mint.len()..];
-        let arg_is_literal = rest.trim_start().starts_with('"');
-        if arg_is_literal {
-            out.push(Diagnostic::new(
-                "SC103",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "string-literal metric name passed to `{}`: use a \
-                     constant from obs::names",
-                    mint.trim_start_matches('.').trim_end_matches('(')
-                ),
-            ));
-        }
+        out.push(Diagnostic::new(
+            code,
+            Severity::Error,
+            format!("{rel}:{line}"),
+            message,
+        ));
     }
 }
 
@@ -361,183 +276,56 @@ pub(crate) fn check_names_registry(root: &Path, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// --- source cleaning ----------------------------------------------------
-
-/// Replace comment bodies and string contents with spaces, preserving
-/// line structure and the quotes themselves. Handles line and block
-/// comments (nested), plain and raw strings, and char literals vs
-/// lifetimes.
-pub fn clean_source(text: &str) -> String {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    let n = bytes.len();
-
-    let keep = |out: &mut String, c: char| out.push(c);
-    let blank = |out: &mut String, c: char| out.push(if c == '\n' { '\n' } else { ' ' });
-
-    while i < n {
-        let c = bytes[i];
-        // line comment
-        if c == '/' && i + 1 < n && bytes[i + 1] == '/' {
-            while i < n && bytes[i] != '\n' {
-                blank(&mut out, bytes[i]);
-                i += 1;
-            }
-            continue;
-        }
-        // block comment (nested)
-        if c == '/' && i + 1 < n && bytes[i + 1] == '*' {
-            let mut level = 0usize;
-            while i < n {
-                if bytes[i] == '/' && i + 1 < n && bytes[i + 1] == '*' {
-                    level += 1;
-                    blank(&mut out, bytes[i]);
-                    blank(&mut out, bytes[i + 1]);
-                    i += 2;
-                } else if bytes[i] == '*' && i + 1 < n && bytes[i + 1] == '/' {
-                    level -= 1;
-                    blank(&mut out, bytes[i]);
-                    blank(&mut out, bytes[i + 1]);
-                    i += 2;
-                    if level == 0 {
-                        break;
-                    }
-                } else {
-                    blank(&mut out, bytes[i]);
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // raw string r"..." / r#"..."#
-        if c == 'r' && i + 1 < n && (bytes[i + 1] == '"' || bytes[i + 1] == '#') {
-            let mut j = i + 1;
-            let mut hashes = 0usize;
-            while j < n && bytes[j] == '#' {
-                hashes += 1;
-                j += 1;
-            }
-            if j < n && bytes[j] == '"' {
-                keep(&mut out, 'r');
-                for _ in 0..hashes {
-                    keep(&mut out, '#');
-                }
-                keep(&mut out, '"');
-                i = j + 1;
-                // scan to closing `"###`
-                'raw: while i < n {
-                    if bytes[i] == '"' {
-                        let mut k = i + 1;
-                        let mut h = 0usize;
-                        while k < n && bytes[k] == '#' && h < hashes {
-                            h += 1;
-                            k += 1;
-                        }
-                        if h == hashes {
-                            keep(&mut out, '"');
-                            for _ in 0..hashes {
-                                keep(&mut out, '#');
-                            }
-                            i = k;
-                            break 'raw;
-                        }
-                    }
-                    blank(&mut out, bytes[i]);
-                    i += 1;
-                }
-                continue;
-            }
-            // not a raw string after all — fall through
-        }
-        // plain string
-        if c == '"' {
-            keep(&mut out, '"');
-            i += 1;
-            while i < n {
-                if bytes[i] == '\\' && i + 1 < n {
-                    blank(&mut out, bytes[i]);
-                    blank(&mut out, bytes[i + 1]);
-                    i += 2;
-                    continue;
-                }
-                if bytes[i] == '"' {
-                    keep(&mut out, '"');
-                    i += 1;
-                    break;
-                }
-                blank(&mut out, bytes[i]);
-                i += 1;
-            }
-            continue;
-        }
-        // char literal vs lifetime
-        if c == '\'' {
-            let is_char = if i + 1 < n && bytes[i + 1] == '\\' {
-                true
-            } else {
-                i + 2 < n && bytes[i + 2] == '\''
-            };
-            if is_char {
-                keep(&mut out, '\'');
-                i += 1;
-                while i < n && bytes[i] != '\'' {
-                    if bytes[i] == '\\' {
-                        blank(&mut out, bytes[i]);
-                        i += 1;
-                    }
-                    if i < n {
-                        blank(&mut out, bytes[i]);
-                        i += 1;
-                    }
-                }
-                if i < n {
-                    keep(&mut out, '\'');
-                    i += 1;
-                }
-                continue;
-            }
-            // lifetime: keep as-is
-        }
-        keep(&mut out, c);
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint_text(rel: &str, text: &str) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        lint_file(rel, text, &mut out);
+        lint_file(rel, &lex(text), &mut out);
         out
     }
 
     #[test]
-    fn clean_blanks_comments_and_strings() {
-        let src = "let x = \"a.unwrap()\"; // .unwrap()\nlet y = 1;\n";
-        let cleaned = clean_source(src);
-        assert!(!cleaned.contains("unwrap"));
-        assert!(cleaned.contains("let y = 1;"));
-        assert_eq!(cleaned.lines().count(), src.lines().count());
+    fn needles_in_comments_and_strings_are_not_flagged() {
+        let src = "let x = \"a.unwrap()\"; // .unwrap()\n/* panic!() */ let y = 1;\n";
+        assert!(lint_text("crates/x/src/lib.rs", src).is_empty());
+        // ...while the same needle in code on the next line still is
+        let diags = lint_text("crates/x/src/lib.rs", &format!("{src}y.unwrap();\n"));
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].location, "crates/x/src/lib.rs:3");
     }
 
     #[test]
-    fn clean_handles_char_literals_and_lifetimes() {
+    fn needles_after_char_literals_and_lifetimes_are_not_flagged() {
+        // a `'"'` char literal must not open a string that swallows the
+        // next line, and a lifetime must not open a char literal
         let src = "fn f<'a>(c: char) -> bool { c == '\"' }\nlet s = \"x.unwrap()\";\n";
-        let cleaned = clean_source(src);
-        assert!(!cleaned.contains("unwrap"));
-        assert!(cleaned.contains("fn f<'a>"));
+        assert!(lint_text("crates/x/src/lib.rs", src).is_empty());
+        let diags = lint_text("crates/x/src/lib.rs", &format!("{src}s.unwrap();\n"));
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].location, "crates/x/src/lib.rs:3");
     }
 
     #[test]
-    fn clean_handles_raw_strings() {
-        let src = "let s = r#\"no .unwrap() here\"#;\nlet t = 2;\n";
-        let cleaned = clean_source(src);
-        assert!(!cleaned.contains("unwrap"));
-        assert!(cleaned.contains("let t = 2;"));
+    fn needles_in_raw_strings_are_not_flagged() {
+        let src = "let s = r#\"no .unwrap() \"here\" Instant::now\"#;\nlet t = 2;\n";
+        assert!(lint_text("crates/x/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn two_unwraps_on_one_line_are_one_finding() {
+        let src = "fn f() { a.unwrap(); b.unwrap(); }\n";
+        let diags = lint_text("crates/x/src/lib.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].location, "crates/x/src/lib.rs:1");
+        // a different needle on the same line is its own finding, in
+        // needle order
+        let src = "fn f() { c.expect(\"c\"); a.unwrap(); b.unwrap(); }\n";
+        let diags = lint_text("crates/x/src/lib.rs", src);
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert!(diags[0].message.starts_with("`unwrap`"));
+        assert!(diags[1].message.starts_with("`expect`"));
     }
 
     #[test]

@@ -104,13 +104,14 @@ fi
 # Static analysis: policy verifier (SC001-SC006), workspace lints
 # (SC101-SC106), and the determinism/concurrency dataflow pass
 # (SC107-SC112). The stage runs the same scan twice through the
-# incremental cache — cold (cache deleted) then warm — and asserts the
+# whole-tree memo — cold (memo deleted) then warm — and asserts the
 # two text reports are byte-identical (which pins the `per-check:`
-# counts too) and that the warm run is at least 5x faster. The cold run
-# carries the 5-second wall-clock budget so the analyzer never becomes
-# the reason people skip CI; cache-hit stats land next to the SARIF
-# artifact for code-scanning UIs; the self-lint holds the analyzer to
-# its own rules with zero allowlist entries.
+# counts too), that the warm run is a memo hit, and that it is at least
+# 5x faster. The cold run carries the 5-second wall-clock budget so the
+# analyzer never becomes the reason people skip CI; the memo's hit/miss
+# lines land next to the SARIF artifact for code-scanning UIs; the
+# self-lint holds the analyzer to its own rules with zero allowlist
+# entries.
 echo "==> staticheck (policy verifier + lints + concurrency dataflow)"
 sc_bin=target/debug/staticheck
 sc_cache=target/staticheck.cache
@@ -128,6 +129,7 @@ warm_start=$(date +%s%N)
     > target/staticheck-warm.txt 2>> target/staticheck-cache-stats.txt
 warm_ms=$(( ($(date +%s%N) - warm_start) / 1000000 ))
 cmp target/staticheck.txt target/staticheck-warm.txt
+[[ "$(tail -n 1 target/staticheck-cache-stats.txt)" == "staticheck-cache: hit "* ]]
 "$sc_bin" all --cache "$sc_cache" --format sarif > target/staticheck.sarif
 echo "    SARIF artifact: target/staticheck.sarif"
 echo "    cache stats artifact: target/staticheck-cache-stats.txt"
